@@ -95,7 +95,11 @@ use json::Value;
 /// seed, worker threads, engine-path selection, and the optional adaptive
 /// stopping rule. (Re-exported as `experiments::Budget`, its historical
 /// home.)
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is experiment identity: two budgets are `==` exactly when
+/// they serialize to the same JSON — the trial budget, seed, mode, batch
+/// and confidence. [`threads`](Budget::threads) is never compared.
+#[derive(Debug, Clone)]
 pub struct Budget {
     /// Monte-Carlo trials per estimate (the fixed count — or, when
     /// [`precision`](Budget::precision) is set, ignored in favor of the
@@ -103,8 +107,9 @@ pub struct Budget {
     pub trials: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads. Never serialized and never part of a merge key:
-    /// results are bit-identical across thread counts.
+    /// Worker threads — an execution setting, not part of the experiment:
+    /// never serialized and never compared by `==`, because results are
+    /// bit-identical across thread counts.
     pub threads: usize,
     /// Engine path selection (`--batch` / `--no-batch`; default: batch
     /// round-synchronous runs of `k ≥ 64` walks).
@@ -191,15 +196,18 @@ impl Budget {
             confidence: cfg.ci_level,
         }
     }
+}
 
-    /// Whether two budgets describe the same experiment (everything but
-    /// the thread count, which only affects wall-clock).
-    pub fn same_experiment(&self, other: &Budget) -> bool {
+/// Compares exactly the fields [`Budget`]'s JSON form carries, so derived
+/// `Report` equality is JSON byte equality and a merge or checkpoint
+/// check never trips over the thread count.
+impl PartialEq for Budget {
+    fn eq(&self, other: &Budget) -> bool {
         self.trials_budget() == other.trials_budget()
             && self.seed == other.seed
-            && self.batch == other.batch
             && self.mode == other.mode
-            && self.effective_confidence() == other.effective_confidence()
+            && self.batch == other.batch
+            && self.confidence == other.confidence
     }
 }
 
@@ -1190,7 +1198,7 @@ impl Report {
         if a.query != b.query {
             return Err("query mismatch".into());
         }
-        if !a.budget.same_experiment(&b.budget) {
+        if a.budget != b.budget {
             return Err("budget mismatch (seed / trials / mode / batch / confidence)".into());
         }
         if a.groups.len() != b.groups.len()
@@ -2847,13 +2855,13 @@ mod tests {
             ..Budget::default()
         };
         let back = Budget::from_estimator(&b.estimator());
-        assert!(b.same_experiment(&back));
+        assert_eq!(b, back);
         let adaptive = Budget {
             precision: Some(Precision::relative(0.1)),
             ..b
         };
         let back = Budget::from_estimator(&adaptive.estimator());
-        assert!(adaptive.same_experiment(&back));
+        assert_eq!(adaptive, back);
     }
 
     #[test]
