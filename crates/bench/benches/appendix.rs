@@ -54,7 +54,7 @@ fn bench_exact_zoo(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("exact_dp_zoo", |b| {
         let mut cfg = exact_zoo::Config::quick();
-        cfg.trials = 500; // DP dominates; keep MC arm light for the bench
+        cfg.budget.trials = 500; // DP dominates; keep MC arm light for the bench
         b.iter(|| exact_zoo::run(&cfg))
     });
     group.finish();

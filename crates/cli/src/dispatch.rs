@@ -23,10 +23,15 @@
 //!   coverage-matches-assignment — so truncated or garbled JSON is a
 //!   retryable fault, not a crash (and never a silent miscount: coverage
 //!   overlap rejection sits behind every merge).
-//! * **Retry exhaustion**: the dispatcher stops spawning, kills what is
-//!   still running, and reports the surviving state — completed chunk
-//!   reports stay available so the caller can checkpoint them
-//!   ([`mrw_core::query::Checkpoint`]) instead of discarding the work.
+//! * **Retry exhaustion**: a chunk out of retries is parked until the
+//!   caller waits on its wave `w`. Then the dispatcher stops spawning,
+//!   cancels every chunk of a later (optimistically pipelined) window
+//!   without listing it — a resume re-plans those windows from the wave
+//!   schedule — and lets the chunks of windows `≤ w` already in flight
+//!   finish under the usual deadline. Their reports stay available so
+//!   the caller can checkpoint them ([`mrw_core::query::Checkpoint`]),
+//!   and the missing set is what the fault left undone, not whatever
+//!   happened to be running when it struck.
 //!
 //! Backoff delays use *deterministic* seeded jitter
 //! ([`SplitMix64::word`] keyed by the spec seed, chunk start, and attempt
@@ -150,6 +155,15 @@ struct InFlight {
     deadline_killed: bool,
 }
 
+impl InFlight {
+    /// Kills and reaps the child and removes its partial output.
+    fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.out_path);
+    }
+}
+
 /// The dispatcher: owns the pending queue, the running pool, the latency
 /// EWMA, and the failure/retry state machine. See the module docs for
 /// the scheduling policy.
@@ -164,6 +178,12 @@ pub struct Dispatcher<'a> {
     outstanding: Vec<usize>,
     /// Successfully harvested chunk reports, tagged with their wave.
     completed: Vec<(usize, Report)>,
+    /// Chunks out of retries, with the error that ended them; they are
+    /// never respawned and count as missing.
+    exhausted: Vec<(Chunk, String)>,
+    /// Set once a caller's wave hits an exhausted chunk: nothing more is
+    /// spawned and failures are no longer retried.
+    winding_down: bool,
     ewma_ms: Option<f64>,
     next_file: usize,
     /// Every failure observed, newest last (feeds the abort diagnostic
@@ -192,6 +212,8 @@ impl<'a> Dispatcher<'a> {
             running: Vec::new(),
             outstanding: Vec::new(),
             completed: Vec::new(),
+            exhausted: Vec::new(),
+            winding_down: false,
             ewma_ms: None,
             next_file: 0,
             failures: Vec::new(),
@@ -228,49 +250,58 @@ impl<'a> Dispatcher<'a> {
 
     /// Runs the pool until every chunk of `wave` has reported (chunks of
     /// *other* waves keep being spawned and harvested in the background —
-    /// the pool never drains at a wave boundary). On retry exhaustion the
-    /// dispatcher kills and reaps everything still in flight and returns
-    /// the exhaustion description; completed reports stay available for
-    /// checkpointing via [`take_completed`](Dispatcher::take_completed).
+    /// the pool never drains at a wave boundary). If a chunk of a window
+    /// `≤ wave` ran out of retries, the dispatcher winds down (see the
+    /// module docs) and returns the exhaustion description; the reports
+    /// of windows `≤ wave` stay available for checkpointing via
+    /// [`take_completed`](Dispatcher::take_completed). The dispatcher is
+    /// finished after an error.
     pub fn run_until_wave_done(&mut self, wave: usize) -> Result<(), String> {
-        while self.outstanding.get(wave).copied().unwrap_or(0) > 0 {
-            if let Err(e) = self.step() {
-                self.abort_in_flight();
-                return Err(e);
+        loop {
+            let exhausted = self
+                .exhausted
+                .iter()
+                .filter(|(c, _)| c.wave <= wave)
+                .min_by_key(|(c, _)| c.range.start);
+            if let Some((_, error)) = exhausted {
+                let error = error.clone();
+                self.wind_down(wave);
+                return Err(error);
             }
+            if self.outstanding.get(wave).copied().unwrap_or(0) == 0 {
+                return Ok(());
+            }
+            self.step();
         }
-        Ok(())
     }
 
-    /// Kills and reaps every running worker and forgets the pending
-    /// queue, folding the un-run chunks back into the bookkeeping that
-    /// [`missing_ranges`](Dispatcher::missing_ranges) reports. Used on
-    /// abort, and to cancel optimistically dispatched waves that the
-    /// stopping rule retired.
-    pub fn abort_in_flight(&mut self) {
-        for mut worker in self.running.drain(..) {
-            let _ = worker.child.kill();
-            let _ = worker.child.wait();
-            let _ = std::fs::remove_file(&worker.out_path);
-            self.pending.push_back(worker.chunk);
+    /// Retry exhaustion in `wave`: spawn nothing more, cancel the chunks
+    /// of later windows (queued, running, or already harvested — whether
+    /// a pipelined chunk got that far is timing, not fault), and let the
+    /// running chunks of windows `≤ wave` finish or fail.
+    fn wind_down(&mut self, wave: usize) {
+        self.winding_down = true;
+        self.pending.retain(|c| c.wave <= wave);
+        self.completed.retain(|(w, _)| *w <= wave);
+        for mut worker in self.running.extract_if(.., |w| w.chunk.wave > wave) {
+            worker.kill();
+        }
+        while !self.running.is_empty() {
+            self.step();
         }
     }
 
     /// The trial ranges of every chunk that has not completed (pending,
-    /// backoff-delayed, or reaped by [`Dispatcher::abort_in_flight`]),
-    /// coalesced.
+    /// backoff-delayed, running, or out of retries), coalesced.
     /// After an exhaustion abort this is exactly the work a resume still
-    /// has to do within the dispatched windows.
+    /// has to do within the windows up to the failed one.
     pub fn missing_ranges(&self) -> Vec<(u64, u64)> {
         let mut ranges: Vec<(u64, u64)> = self
             .pending
             .iter()
+            .chain(self.running.iter().map(|w| &w.chunk))
+            .chain(self.exhausted.iter().map(|(c, _)| c))
             .map(|c| (c.range.start as u64, c.range.end as u64))
-            .chain(
-                self.running
-                    .iter()
-                    .map(|w| (w.chunk.range.start as u64, w.chunk.range.end as u64)),
-            )
             .collect();
         ranges.sort_unstable();
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
@@ -305,15 +336,16 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// One scheduling pass: fill free worker slots with ready chunks,
-    /// poll the running pool, enforce deadlines, harvest or retry. Sleeps
-    /// briefly when nothing completed, so callers can loop tightly.
-    fn step(&mut self) -> Result<(), String> {
+    /// One scheduling pass: fill free worker slots with ready chunks
+    /// (unless winding down), poll the running pool, enforce deadlines,
+    /// harvest or retry. Sleeps briefly when nothing completed, so callers
+    /// can loop tightly.
+    fn step(&mut self) {
         let now = Instant::now();
         // Fill free slots. Prefer the lowest wave among ready chunks so
         // retries of the wave a caller is waiting on are never starved by
         // optimistically pipelined later waves.
-        while self.running.len() < self.cfg.workers {
+        while !self.winding_down && self.running.len() < self.cfg.workers {
             let best = self
                 .pending
                 .iter()
@@ -328,7 +360,7 @@ impl<'a> Dispatcher<'a> {
                 break;
             };
             if let Err(e) = self.spawn(chunk.clone()) {
-                self.chunk_failed(chunk, e)?;
+                self.chunk_failed(chunk, e);
             }
         }
         // Poll the pool.
@@ -370,14 +402,13 @@ impl<'a> Dispatcher<'a> {
                         self.deadline_kills += 1;
                     }
                     let _ = std::fs::remove_file(&worker.out_path);
-                    self.chunk_failed(worker.chunk, e)?;
+                    self.chunk_failed(worker.chunk, e);
                 }
             }
         }
         if !progressed {
             std::thread::sleep(POLL_INTERVAL);
         }
-        Ok(())
     }
 
     fn spawn(&mut self, chunk: Chunk) -> Result<(), String> {
@@ -457,13 +488,13 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Requeues a failed chunk with exponential backoff and deterministic
-    /// seeded jitter, or signals retry exhaustion. The exhausted chunk
-    /// goes back on the pending queue so `missing_ranges` accounts for
-    /// it.
-    fn chunk_failed(&mut self, chunk: Chunk, error: String) -> Result<(), String> {
+    /// seeded jitter, or — out of retries, or winding down — parks it as
+    /// exhausted, where `missing_ranges` accounts for it and
+    /// `run_until_wave_done` reports it once its wave is awaited.
+    fn chunk_failed(&mut self, chunk: Chunk, error: String) {
         eprintln!("mrw fanout: {error}");
         self.failures.push(error);
-        if chunk.attempt < self.cfg.retries {
+        if !self.winding_down && chunk.attempt < self.cfg.retries {
             // 2^attempt × base, stretched by up to +50% of deterministic
             // jitter so simultaneous failures do not retry in lockstep.
             let shift = chunk.attempt.min(16) as u32;
@@ -482,15 +513,14 @@ impl<'a> Dispatcher<'a> {
                 not_before: Some(Instant::now() + delay),
                 ..chunk
             });
-            return Ok(());
+            return;
         }
         let exhausted = format!(
             "trials {:?} failed {} attempt(s)",
             chunk.range,
             chunk.attempt + 1
         );
-        self.pending.push_back(chunk);
-        Err(exhausted)
+        self.exhausted.push((chunk, exhausted));
     }
 }
 
@@ -500,9 +530,7 @@ impl Drop for Dispatcher<'_> {
     /// returns the explicit abort paths never see.
     fn drop(&mut self) {
         for worker in &mut self.running {
-            let _ = worker.child.kill();
-            let _ = worker.child.wait();
-            let _ = std::fs::remove_file(&worker.out_path);
+            worker.kill();
         }
     }
 }

@@ -384,6 +384,8 @@ fn drive_adaptive(
     let mut w = 0;
     while w < windows.len() {
         if let Err(error) = pool.run_until_wave_done(w) {
+            // The wind-down kept only windows ≤ w of this run's work;
+            // later windows carry just what an earlier checkpoint saved.
             let mut waves = folded;
             for (later, saved) in saved_by.iter_mut().enumerate().skip(w) {
                 let mut parts = pool.take_completed(later);
@@ -451,10 +453,10 @@ fn drive_adaptive(
         }
         w += 1;
     }
-    // Cancel whatever the pipeline ran ahead on (the rule retired every
-    // group, or the cap cut the schedule), then finalize: groups still
-    // active at the cap stop with their accumulated prefix.
-    pool.abort_in_flight();
+    // Whatever the pipeline ran ahead on (the rule retired every group,
+    // or the cap cut the schedule) is killed when the pool drops.
+    // Finalize: groups still active at the cap stop with their
+    // accumulated prefix.
     if let Some(ids) = active {
         for gi in ids {
             let (trials, moments, censored) = acc[gi];

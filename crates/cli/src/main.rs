@@ -86,10 +86,21 @@ fn print_table(t: &mrw_stats::Table, fmt: Format) {
     println!();
 }
 
-/// Applies only the explicitly-passed overrides, preserving the
-/// experiment's (or spec file's) own defaults — several appendix
-/// experiments need more than `Budget::default()`'s 64 trials to resolve
-/// small probabilities.
+/// An experiment's own configuration: `quick` under `--quick`, its
+/// `Default` otherwise.
+fn config<C: Default>(opts: &Options, quick: fn() -> C) -> C {
+    if opts.quick {
+        quick()
+    } else {
+        C::default()
+    }
+}
+
+/// The one path by which budget flags reach a run: applies only the
+/// flags actually passed, so an experiment (or spec file) keeps its own
+/// trial count, seed and precision unless a flag overrides them — several
+/// appendix experiments need more than `Budget::default()`'s 64 trials
+/// to resolve small probabilities.
 fn apply_overrides(b: &mut Budget, opts: &Options) {
     // Flag combinations are validated up front in main().
     let rule = opts.precision_rule().expect("validated in main");
@@ -119,33 +130,23 @@ fn apply_overrides(b: &mut Budget, opts: &Options) {
     }
 }
 
+/// The budget `mrw estimate` runs under, which has no experiment of its
+/// own: `Budget::quick()` or `Budget::default()`, then the flags.
 fn budget(opts: &Options) -> Budget {
-    let mut b = if opts.quick {
-        Budget::quick()
-    } else {
-        Budget::default()
-    };
+    let mut b = config(opts, Budget::quick);
     apply_overrides(&mut b, opts);
     b
 }
 
 fn run_table1(opts: &Options) {
-    let mut cfg = if opts.quick {
-        table1::Config::quick()
-    } else {
-        table1::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, table1::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     print_table(&table1::run(&cfg).table(), opts.format);
 }
 
 fn run_clique(opts: &Options) {
-    let mut cfg = if opts.quick {
-        clique::Config::quick()
-    } else {
-        clique::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, clique::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = clique::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -157,12 +158,8 @@ fn run_clique(opts: &Options) {
 }
 
 fn run_cycle(opts: &Options) {
-    let mut cfg = if opts.quick {
-        cycle::Config::quick()
-    } else {
-        cycle::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, cycle::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = cycle::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -172,12 +169,8 @@ fn run_cycle(opts: &Options) {
 }
 
 fn run_barbell(opts: &Options) {
-    let mut cfg = if opts.quick {
-        barbell::Config::quick()
-    } else {
-        barbell::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, barbell::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = barbell::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -187,12 +180,8 @@ fn run_barbell(opts: &Options) {
 }
 
 fn run_torus(opts: &Options) {
-    let mut cfg = if opts.quick {
-        torus::Config::quick()
-    } else {
-        torus::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, torus::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = torus::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -203,12 +192,8 @@ fn run_torus(opts: &Options) {
 }
 
 fn run_expander(opts: &Options) {
-    let mut cfg = if opts.quick {
-        expander::Config::quick()
-    } else {
-        expander::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, expander::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = expander::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -218,12 +203,8 @@ fn run_expander(opts: &Options) {
 }
 
 fn run_matthews(opts: &Options) {
-    let mut cfg = if opts.quick {
-        matthews::Config::quick()
-    } else {
-        matthews::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, matthews::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = matthews::run(&cfg);
     print_table(&report.table(), opts.format);
     let violations: Vec<&str> = report
@@ -240,12 +221,8 @@ fn run_matthews(opts: &Options) {
 }
 
 fn run_baby_matthews(opts: &Options) {
-    let mut cfg = if opts.quick {
-        baby_matthews::Config::quick()
-    } else {
-        baby_matthews::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, baby_matthews::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = baby_matthews::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -255,12 +232,8 @@ fn run_baby_matthews(opts: &Options) {
 }
 
 fn run_mixing(opts: &Options) {
-    let mut cfg = if opts.quick {
-        mixing::Config::quick()
-    } else {
-        mixing::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, mixing::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = mixing::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -270,12 +243,8 @@ fn run_mixing(opts: &Options) {
 }
 
 fn run_gap(opts: &Options) {
-    let mut cfg = if opts.quick {
-        gap::Config::quick()
-    } else {
-        gap::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, gap::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = gap::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -285,12 +254,8 @@ fn run_gap(opts: &Options) {
 }
 
 fn run_concentration(opts: &Options) {
-    let mut cfg = if opts.quick {
-        concentration::Config::quick()
-    } else {
-        concentration::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, concentration::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = concentration::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -300,12 +265,8 @@ fn run_concentration(opts: &Options) {
 }
 
 fn run_stationary(opts: &Options) {
-    let mut cfg = if opts.quick {
-        stationary::Config::quick()
-    } else {
-        stationary::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, stationary::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = stationary::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -315,12 +276,8 @@ fn run_stationary(opts: &Options) {
 }
 
 fn run_conjectures(opts: &Options) {
-    let mut cfg = if opts.quick {
-        conjectures::Config::quick()
-    } else {
-        conjectures::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, conjectures::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = conjectures::run(&cfg);
     print_table(&report.table(), opts.format);
     let max = report.max_per_k();
@@ -340,11 +297,7 @@ fn run_conjectures(opts: &Options) {
 }
 
 fn run_lemma16(opts: &Options) {
-    let mut cfg = if opts.quick {
-        lemma16::Config::quick()
-    } else {
-        lemma16::Config::default()
-    };
+    let mut cfg = config(opts, lemma16::Config::quick);
     apply_overrides(&mut cfg.budget, opts);
     let report = lemma16::run(&cfg);
     print_table(&report.table(), opts.format);
@@ -355,11 +308,7 @@ fn run_lemma16(opts: &Options) {
 }
 
 fn run_lemma19(opts: &Options) {
-    let mut cfg = if opts.quick {
-        lemma19::Config::quick()
-    } else {
-        lemma19::Config::default()
-    };
+    let mut cfg = config(opts, lemma19::Config::quick);
     apply_overrides(&mut cfg.budget, opts);
     let report = lemma19::run(&cfg);
     print_table(&report.lemma_table(), opts.format);
@@ -375,11 +324,7 @@ fn run_lemma19(opts: &Options) {
 }
 
 fn run_prop23(opts: &Options) {
-    let cfg = if opts.quick {
-        prop23::Config::quick()
-    } else {
-        prop23::Config::default()
-    };
+    let cfg = config(opts, prop23::Config::quick);
     let report = prop23::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -393,11 +338,7 @@ fn run_prop23(opts: &Options) {
 }
 
 fn run_barbell_events(opts: &Options) {
-    let mut cfg = if opts.quick {
-        barbell_events::Config::quick()
-    } else {
-        barbell_events::Config::default()
-    };
+    let mut cfg = config(opts, barbell_events::Config::quick);
     apply_overrides(&mut cfg.budget, opts);
     let report = barbell_events::run(&cfg);
     print_table(&report.table(), opts.format);
@@ -408,17 +349,8 @@ fn run_barbell_events(opts: &Options) {
 }
 
 fn run_exact_zoo(opts: &Options) {
-    let mut cfg = if opts.quick {
-        exact_zoo::Config::quick()
-    } else {
-        exact_zoo::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    if let Some(s) = opts.seed {
-        cfg.seed = s;
-    }
+    let mut cfg = config(opts, exact_zoo::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = exact_zoo::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -430,12 +362,8 @@ fn run_exact_zoo(opts: &Options) {
 }
 
 fn run_projection(opts: &Options) {
-    let mut cfg = if opts.quick {
-        projection::Config::quick()
-    } else {
-        projection::Config::default()
-    };
-    cfg.budget = budget(opts);
+    let mut cfg = config(opts, projection::Config::quick);
+    apply_overrides(&mut cfg.budget, opts);
     let report = projection::run(&cfg);
     print_table(&report.table(), opts.format);
     println!(
@@ -445,11 +373,7 @@ fn run_projection(opts: &Options) {
 }
 
 fn run_hunting(opts: &Options) {
-    let mut cfg = if opts.quick {
-        hunting::Config::quick()
-    } else {
-        hunting::Config::default()
-    };
+    let mut cfg = config(opts, hunting::Config::quick);
     apply_overrides(&mut cfg.budget, opts);
     if let Some(prey) = opts.prey {
         cfg.mover = prey;
@@ -467,11 +391,7 @@ fn run_hunting(opts: &Options) {
 }
 
 fn run_smallworld(opts: &Options) {
-    let mut cfg = if opts.quick {
-        smallworld::Config::quick()
-    } else {
-        smallworld::Config::default()
-    };
+    let mut cfg = config(opts, smallworld::Config::quick);
     apply_overrides(&mut cfg.budget, opts);
     let report = smallworld::run(&cfg);
     print_table(&report.table(), opts.format);

@@ -120,6 +120,23 @@ fn estimate_json_is_byte_identical_to_run_json() {
 }
 
 #[test]
+fn experiments_keep_their_own_budgets_unless_a_flag_overrides_them() {
+    // projection and concentration need more trials than the plain
+    // quick budget's 24 (60 and 96); without --trials they must run
+    // exactly as if their own count had been passed.
+    for (experiment, own_trials) in [("projection", "60"), ("concentration", "96")] {
+        let plain = mrw_stdout(&[experiment, "--quick", "--format", "csv"]);
+        let explicit = mrw_stdout(&[
+            experiment, "--quick", "--format", "csv", "--trials", own_trials,
+        ]);
+        assert_eq!(
+            plain, explicit,
+            "mrw {experiment} --quick ignored its budget"
+        );
+    }
+}
+
+#[test]
 fn shard_merge_round_trip_is_byte_identical_to_run() {
     let tmp = TempDir::new("golden");
     let spec = tmp.file("spec.json", FIXED_SPEC);

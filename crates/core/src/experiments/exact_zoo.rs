@@ -15,25 +15,26 @@ use mrw_stats::Table;
 
 use crate::exact::exact_kwalk_cover_time;
 use crate::experiments::Budget;
-use crate::{CoverTimeEstimator, EstimatorConfig};
+use crate::CoverTimeEstimator;
 
 /// Configuration for the exact-validation zoo.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Walk counts (state space grows as `n^k·2ⁿ`; keep `k ≤ 3`).
     pub ks: Vec<usize>,
-    /// Monte-Carlo trials per graph/k cell.
-    pub trials: usize,
-    /// Master seed.
-    pub seed: u64,
+    /// Monte-Carlo budget per graph/k cell; cell `k` samples under seed
+    /// `budget.seed ^ k << 8`.
+    pub budget: Budget,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             ks: vec![1, 2, 3],
-            trials: 20_000,
-            seed: Budget::default().seed,
+            budget: Budget {
+                trials: 20_000,
+                ..Budget::default()
+            },
         }
     }
 }
@@ -43,8 +44,10 @@ impl Config {
     pub fn quick() -> Self {
         Config {
             ks: vec![1, 2],
-            trials: 5_000,
-            seed: Budget::default().seed,
+            budget: Budget {
+                trials: 5_000,
+                ..Budget::default()
+            },
         }
     }
 }
@@ -145,12 +148,11 @@ pub fn run(cfg: &Config) -> Report {
     for g in zoo() {
         for &k in &cfg.ks {
             let exact = exact_kwalk_cover_time(&g, 0, k);
-            let est = CoverTimeEstimator::new(
-                &g,
-                k,
-                EstimatorConfig::new(cfg.trials).with_seed(cfg.seed ^ (k as u64) << 8),
-            )
-            .run_from(0);
+            let budget = Budget {
+                seed: cfg.budget.seed ^ (k as u64) << 8,
+                ..cfg.budget.clone()
+            };
+            let est = CoverTimeEstimator::new(&g, k, budget).run_from(0);
             cells.push(Cell {
                 graph: g.name().to_string(),
                 k,

@@ -27,7 +27,9 @@
 //! Every driver follows one convention: a `Config` struct whose `Default`
 //! is paper scale and whose `quick()` is CI scale, a `run(&Config) ->
 //! Report` function, and a `Report::table()` that renders the rows the
-//! paper reports. All drivers are deterministic given `Config::seed`.
+//! paper reports. Every sampling driver's `Config` carries one
+//! [`Budget`] (trials or precision rule, seed, threads, batch), and all
+//! drivers are deterministic given its seed.
 
 pub mod baby_matthews;
 pub mod barbell;

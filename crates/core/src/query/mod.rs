@@ -81,7 +81,6 @@ use mrw_stats::precision::PrecisionTarget;
 use mrw_stats::{IntMoments, Precision, SequentialCi, Summary, Trials};
 
 use crate::engine::{BatchMode, Engine, EngineArena, FullCover, SimpleStep};
-use crate::estimator::EstimatorConfig;
 use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HitEstimate, HmaxEstimate};
 use crate::kwalk::KWalkMode;
 use crate::meeting::{meeting_rounds, pursuit_rounds, CatchEstimate, PreyStrategy};
@@ -164,37 +163,6 @@ impl Budget {
     /// [`confidence`](Budget::confidence) otherwise.
     pub fn effective_confidence(&self) -> f64 {
         self.precision.map_or(self.confidence, |r| r.confidence)
-    }
-
-    /// Builds the estimator config for this budget.
-    pub fn estimator(&self) -> EstimatorConfig {
-        let mut cfg = EstimatorConfig::new(self.trials)
-            .with_trials(self.trials_budget())
-            .with_seed(self.seed)
-            .with_threads(self.threads)
-            .with_batch(self.batch)
-            .with_mode(self.mode);
-        cfg.ci_level = self.effective_confidence();
-        cfg
-    }
-
-    /// The inverse of [`estimator`](Budget::estimator): the budget an
-    /// [`EstimatorConfig`] describes (how the deprecated typed entry
-    /// points translate themselves into [`Session`] runs).
-    pub fn from_estimator(cfg: &EstimatorConfig) -> Budget {
-        let (trials, precision) = match cfg.trials {
-            Trials::Fixed(n) => (n, None),
-            Trials::Adaptive(rule) => (rule.max_trials, Some(rule)),
-        };
-        Budget {
-            trials,
-            seed: cfg.seed,
-            threads: cfg.threads,
-            batch: cfg.batch,
-            precision,
-            mode: cfg.mode,
-            confidence: cfg.ci_level,
-        }
     }
 }
 
@@ -2843,25 +2811,6 @@ mod tests {
         };
         let back = QuerySpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn budget_estimator_round_trip() {
-        let b = Budget {
-            trials: 48,
-            seed: 9,
-            batch: BatchMode::Never,
-            mode: KWalkMode::Interleaved,
-            ..Budget::default()
-        };
-        let back = Budget::from_estimator(&b.estimator());
-        assert_eq!(b, back);
-        let adaptive = Budget {
-            precision: Some(Precision::relative(0.1)),
-            ..b
-        };
-        let back = Budget::from_estimator(&adaptive.estimator());
-        assert_eq!(adaptive, back);
     }
 
     #[test]

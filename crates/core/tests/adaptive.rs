@@ -8,7 +8,7 @@
 //!     fixed seed — the wave schedule is part of the determinism
 //!     contract, not a scheduling accident.
 
-use mrw_core::{CoverTimeEstimator, EstimatorConfig, Precision};
+use mrw_core::{Budget, CoverTimeEstimator, Precision};
 use mrw_graph::generators;
 use proptest::prelude::*;
 
@@ -24,8 +24,8 @@ proptest! {
     ) {
         let g = generators::cycle(n);
         let rule = Precision::relative(rel).with_min_trials(8).with_max_trials(256);
-        let est = CoverTimeEstimator::new(&g, k, EstimatorConfig::adaptive(rule).with_seed(seed))
-            .run_from(0);
+        let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
+        let est = CoverTimeEstimator::new(&g, k, budget).run_from(0);
         let consumed = est.consumed_trials() as usize;
         // (a) floor ≤ consumed ≤ cap, always.
         prop_assert!(consumed >= rule.min_trials, "below floor: {consumed}");
@@ -52,7 +52,7 @@ proptest! {
             CoverTimeEstimator::new(
                 &g,
                 2,
-                EstimatorConfig::adaptive(rule).with_seed(seed).with_threads(threads),
+                Budget { precision: Some(rule), seed, threads, ..Budget::default() },
             )
             .run_from(0)
         };
@@ -75,8 +75,8 @@ proptest! {
     ) {
         let g = generators::cycle(n);
         let rule = Precision::absolute(1e-9).with_min_trials(4).with_max_trials(48);
-        let est = CoverTimeEstimator::new(&g, 1, EstimatorConfig::adaptive(rule).with_seed(seed))
-            .run_from(0);
+        let budget = Budget { precision: Some(rule), seed, ..Budget::default() };
+        let est = CoverTimeEstimator::new(&g, 1, budget).run_from(0);
         prop_assert_eq!(est.consumed_trials(), 48);
     }
 }

@@ -13,7 +13,7 @@
 //!   equivalent to the `Session::run` reports they view.
 
 use mrw_core::query::{Budget, Query, Report, Session, Shard};
-use mrw_core::{CoverTimeEstimator, EstimatorConfig, Precision, PreyStrategy};
+use mrw_core::{CoverTimeEstimator, Precision, PreyStrategy};
 use mrw_graph::generators;
 use proptest::prelude::*;
 
@@ -259,7 +259,11 @@ fn restate_trials_rejects_adaptive_budgets() {
 #[test]
 fn estimator_facade_equals_session_run() {
     let g = generators::cycle(40);
-    let cfg = EstimatorConfig::new(24).with_seed(13);
+    let cfg = Budget {
+        trials: 24,
+        seed: 13,
+        ..Budget::default()
+    };
     let facade = CoverTimeEstimator::new(&g, 3, cfg).run_from(5);
     let report = Session::new(Budget {
         trials: 24,
@@ -285,7 +289,11 @@ fn estimator_facade_equals_session_run() {
 fn speedup_sweep_equals_ladder_report() {
     use mrw_core::speedup::{speedup_sweep, SpeedupSweep};
     let g = generators::cycle(32);
-    let cfg = EstimatorConfig::new(16).with_seed(7);
+    let cfg = Budget {
+        trials: 16,
+        seed: 7,
+        ..Budget::default()
+    };
     let sweep = speedup_sweep(&g, 0, &[2, 4], &cfg);
     let report = Session::new(Budget {
         trials: 16,
