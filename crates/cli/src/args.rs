@@ -422,7 +422,11 @@ impl Options {
                 "--no-batch" => opts.batch = Some(false),
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
-                    opts.trials = Some(v.parse().map_err(|_| format!("bad --trials '{v}'"))?);
+                    let n: usize = v.parse().map_err(|_| format!("bad --trials '{v}'"))?;
+                    if n == 0 {
+                        return Err("--trials must be >= 1".into());
+                    }
+                    opts.trials = Some(n);
                 }
                 "--seed" => {
                     let v = it.next().ok_or("--seed needs a value")?;
@@ -647,6 +651,7 @@ mod tests {
         assert!(parse(&[]).is_err());
         assert!(parse(&["x", "--trials"]).is_err());
         assert!(parse(&["x", "--trials", "abc"]).is_err());
+        assert!(parse(&["x", "--trials", "0"]).is_err());
         assert!(parse(&["x", "--threads", "0"]).is_err());
         assert!(parse(&["x", "--format", "xml"]).is_err());
         assert!(parse(&["x", "--bogus"]).is_err());

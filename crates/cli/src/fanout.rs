@@ -17,7 +17,7 @@
 //!   stragglers); one pull-driven pass, then a fold of [`Report::merge`].
 //! * **Adaptive budgets** — the sequential stopping rule is replicated at
 //!   the *driver*: trials are dispatched wave by wave on exactly the
-//!   boundaries the in-process loop uses (`Precision::next_wave`, rule
+//!   boundaries the in-process loop uses (`Precision::waves`, rule
 //!   evaluated on index-ordered prefix moments), with groups dropping out
 //!   of later waves the moment their rule fires (`mrw shard --groups`).
 //!   The wave *schedule* is a pure function of the consumed count, so the
@@ -48,7 +48,7 @@ use std::time::Duration;
 use mrw_core::query::{Checkpoint, Coverage, GraphInfo, ShardPlan};
 use mrw_core::{AnyGraph, Group, QuerySpec, Report};
 use mrw_graph::GraphBackend;
-use mrw_stats::{IntMoments, Precision};
+use mrw_stats::Precision;
 
 use crate::args::Options;
 use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
@@ -305,19 +305,10 @@ fn drive_adaptive(
     rule: Precision,
     pool: &mut Dispatcher,
 ) -> Result<Result<Report, Interrupted>, String> {
-    // The wave schedule is a pure function of the consumed count — no
-    // sample data needed — which is what makes both pipelining and
-    // checkpoint replay possible.
-    let mut windows: Vec<Range<usize>> = Vec::new();
-    let mut consumed = 0usize;
-    loop {
-        let wave = rule.next_wave(consumed);
-        if wave == 0 {
-            break;
-        }
-        windows.push(consumed..consumed + wave);
-        consumed += wave;
-    }
+    // The wave schedule is a pure function of the rule — no sample data
+    // needed — which is what makes both pipelining and checkpoint replay
+    // possible.
+    let windows: Vec<Range<usize>> = rule.waves().collect();
 
     // Slot each checkpointed partial into its wave window.
     let mut saved_by: Vec<Option<Report>> = vec![None; windows.len()];
@@ -375,11 +366,11 @@ fn drive_adaptive(
     }
 
     // Driver-side replication of the in-process sequential loop: same
-    // wave boundaries, same rule, same prefix moments.
-    let mut active: Option<Vec<usize>> = None; // None = structure unknown
-    let mut labels: Vec<String> = Vec::new();
-    let mut acc: Vec<(u64, IntMoments, u64)> = Vec::new();
-    let mut finished: Vec<Option<Group>> = Vec::new();
+    // wave boundaries, same rule, same prefix moments. `groups` holds each
+    // group's cumulative prefix; a group that retires stops folding, so
+    // its prefix is already final.
+    let mut groups: Vec<Group> = Vec::new();
+    let mut active: Vec<usize> = Vec::new();
     let mut folded: Vec<Report> = Vec::new(); // complete waves, for checkpoints
     let mut w = 0;
     while w < windows.len() {
@@ -408,75 +399,31 @@ fn drive_adaptive(
             [(windows[w].start as u64, windows[w].end as u64)],
             "a completed wave must cover its whole window"
         );
-        if active.is_none() {
-            // First wave: learn the group structure.
-            labels = wave_report.groups.iter().map(|g| g.label.clone()).collect();
-            acc = vec![(0, IntMoments::new(), 0); labels.len()];
-            finished = vec![None; labels.len()];
-            active = Some((0..labels.len()).collect());
-        }
-        // `active` was seeded just above on the first wave; a None here
-        // would be a fold-state bug, reported rather than panicked (P1).
-        let Some(ids) = active.as_mut() else {
-            return Err("internal: wave fold reached with no active group set".into());
-        };
-        for &gi in ids.iter() {
-            let group = &wave_report.groups[gi];
-            acc[gi].0 += group.trials;
-            acc[gi].1.merge(&group.moments);
-            acc[gi].2 += group.censored;
+        if w == 0 {
+            // Wave 0 ran every group: it is each group's first prefix.
+            groups = wave_report.groups.clone();
+            active = (0..groups.len()).collect();
+        } else {
+            for &gi in &active {
+                groups[gi] = groups[gi].merge(&wave_report.groups[gi]);
+            }
         }
         folded.push(wave_report);
         // Retire groups whose rule fired at this boundary.
-        ids.retain(|&gi| {
-            let (trials, moments, censored) = &acc[gi];
-            if rule.satisfied_by(&moments.summary()) {
-                finished[gi] = Some(Group {
-                    label: labels[gi].clone(),
-                    trials: *trials,
-                    moments: *moments,
-                    censored: *censored,
-                });
-                false
-            } else {
-                true
-            }
-        });
-        if ids.is_empty() {
+        active.retain(|&gi| !rule.satisfied_by(&groups[gi].summary()));
+        if active.is_empty() {
             break;
         }
         // Window w+1 is already in flight under the previous (superset)
         // active set; pipeline w+2 under the set we just refined.
         if w + 2 < windows.len() {
-            let groups = Some(ids.clone());
-            enqueue_window(pool, w + 2, &groups, saved_by[w + 2].as_ref());
+            enqueue_window(pool, w + 2, &Some(active.clone()), saved_by[w + 2].as_ref());
         }
         w += 1;
     }
     // Whatever the pipeline ran ahead on (the rule retired every group,
-    // or the cap cut the schedule) is killed when the pool drops.
-    // Finalize: groups still active at the cap stop with their
-    // accumulated prefix.
-    if let Some(ids) = active {
-        for gi in ids {
-            let (trials, moments, censored) = acc[gi];
-            finished[gi] = Some(Group {
-                label: labels[gi].clone(),
-                trials,
-                moments,
-                censored,
-            });
-        }
-    }
-    // Every slot was filled either by the retire loop or the cap
-    // finalizer above; a hole is a fold bug, reported not panicked (P1).
-    let mut groups = Vec::with_capacity(finished.len());
-    for slot in finished {
-        match slot {
-            Some(group) => groups.push(group),
-            None => return Err("internal: unfinalized group after wave fold".into()),
-        }
-    }
+    // or the cap cut the schedule) is killed when the pool drops. Groups
+    // still active at the cap stop with their accumulated prefix.
     Ok(Ok(Report {
         graph: GraphInfo {
             name: g.name().to_string(),

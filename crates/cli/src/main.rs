@@ -506,11 +506,8 @@ fn stop_description(report: &Report) -> (String, String) {
 /// `--json` emits the canonical report schema instead.
 fn run_estimate(opts: &Options) -> Result<(), String> {
     let spec = estimate_spec(opts);
-    let g = spec.graph.resolve()?;
+    let g = checked_graph(&spec)?;
     let start = opts.start.unwrap_or(0);
-    if start as usize >= g.n() {
-        return Err(format!("--start {start} out of range (n = {})", g.n()));
-    }
     let report = Session::new(spec.budget.clone()).run(&g, &spec.query);
     if opts.json {
         print!("{}", report.to_json());
@@ -572,14 +569,20 @@ fn load_spec(opts: &Options) -> Result<(QuerySpec, AnyGraph), String> {
     if let Some(backend) = opts.backend {
         spec.graph.backend = backend;
     }
-    if spec.budget.trials_budget().cap() < 1 {
-        return Err(format!("{path}: budget needs at least one trial"));
-    }
-    let g = spec.graph.resolve().map_err(|e| format!("{path}: {e}"))?;
-    spec.query
-        .validate(&g)
-        .map_err(|e| format!("{path}: {e}"))?;
+    let g = checked_graph(&spec).map_err(|e| format!("{path}: {e}"))?;
     Ok((spec, g))
+}
+
+/// The post-parse checks every spec passes before `Session::run`, which
+/// panics on what they reject: a trial cap of at least one, a graph that
+/// builds, and a query valid on it. Returns the resolved graph.
+fn checked_graph(spec: &QuerySpec) -> Result<AnyGraph, String> {
+    if spec.budget.trials_budget().cap() < 1 {
+        return Err("budget needs at least one trial".into());
+    }
+    let g = spec.graph.resolve()?;
+    spec.query.validate(&g)?;
+    Ok(g)
 }
 
 /// `mrw run spec.json`: execute any serialized query. `--json` emits the

@@ -31,9 +31,9 @@
 //!   fresh `b..n` slice (a pure *extension* when the entry already
 //!   existed);
 //! * **adaptive rule**: replay the sequential wave schedule — the same
-//!   `satisfied_by`/`next_wave` loop `Session::run` executes — against
-//!   the cached prefixes, dispatching only waves the ledger cannot
-//!   answer (a precision *upgrade* resumes from the cached moments).
+//!   `Precision::replay` loop `Session::run` executes — against the
+//!   cached prefixes, dispatching only waves the ledger cannot answer (a
+//!   precision *upgrade* resumes from the cached moments).
 //!
 //! Every boundary served is inserted into the ledger, so repeated and
 //! overlapping queries from many clients compose instead of recomputing.
@@ -759,28 +759,22 @@ fn compute_run(
         }
         Some(rule) => {
             if entry.groups.is_empty() {
-                ran += entry.initialize(runner, rule.next_wave(0))?;
+                let first = rule.waves().next().map_or(0, |w| w.end);
+                ran += entry.initialize(runner, first)?;
             }
             // Per group, replay the exact sequential wave schedule
-            // `Session::run` executes: evaluate the rule on the sample so
-            // far, dispatch the next wave if it hasn't fired, stop at the
-            // cap. Cached prefixes answer waves for free; only genuinely
-            // new ranges run.
+            // `Session::run` executes. Cached prefixes answer waves for
+            // free; only genuinely new ranges run.
             for idx in 0..entry.groups.len() {
-                let mut consumed = 0usize;
-                let cum = loop {
-                    let (cum, r) = entry.prefix(runner, idx, consumed as u64)?;
-                    ran += r;
-                    let wave = if rule.satisfied_by(&cum.moments.summary()) {
-                        0
-                    } else {
-                        rule.next_wave(consumed)
-                    };
-                    if wave == 0 {
-                        break cum;
-                    }
-                    consumed += wave;
-                };
+                let cum = rule.replay(
+                    |n| {
+                        entry.prefix(runner, idx, n as u64).map(|(cum, r)| {
+                            ran += r;
+                            cum
+                        })
+                    },
+                    Group::summary,
+                )?;
                 groups.push(cum);
             }
         }

@@ -241,6 +241,30 @@ fn shard_errors_are_friendly() {
         .assert()
         .failure()
         .stderr(contains("error:"));
+    // `mrw estimate` runs the same post-parse checks as a spec file:
+    // bad inputs are friendly errors, never panics.
+    for bad in [
+        &["estimate", "--trials", "0"][..],
+        &[
+            "estimate",
+            "--family",
+            "circulant",
+            "--n",
+            "10",
+            "--jumps",
+            "5",
+        ],
+        &["estimate", "--family", "cycle", "--n", "2"],
+        &["clique", "--quick", "--trials", "0"],
+    ] {
+        let out = mrw()
+            .args(bad)
+            .assert()
+            .failure()
+            .stderr(contains("error:"));
+        let stderr = String::from_utf8_lossy(&out.get_output().stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{bad:?} panicked: {stderr}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -312,6 +312,11 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
     let (_daemon, addr) = start_daemon(&[]);
     let oracle = mrw_stdout(&["run", spec.to_str().unwrap(), "--json"]);
     let valid = format!("{{\"verb\": \"run\", \"spec\": {FIXED_SPEC}}}");
+    // Valid spec shape, graph below its generator's size bound: the
+    // error must name the size, not a generic internal error.
+    let undersized: &[u8] = br#"{"verb": "run", "spec": {"graph": {"family": "cycle", "n": 2},
+            "query": {"type": "cover", "k": 2, "starts": [0]},
+            "budget": {"trials": 4, "seed": 1}}}"#;
 
     // The corpus: hand-written malformations (wrong shapes, unknown
     // verbs, specs that fail validation, raw non-UTF-8 bytes) plus
@@ -334,6 +339,7 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             "query": {"type": "cover", "k": 2, "starts": [99]},
             "budget": {"trials": 4, "seed": 1}}}"#
             .to_vec(),
+        undersized.to_vec(),
         // Not UTF-8 at all.
         vec![0xC3, 0x28, 0xFF],
     ];
@@ -373,10 +379,14 @@ fn malformed_requests_get_structured_errors_and_the_daemon_survives() {
             Some("mrw-serve-error-v1"),
             "corpus entry {i} got a non-error response: {body}"
         );
-        assert!(
-            v.get("error").and_then(Value::as_str).is_some(),
-            "error frame without a message: {body}"
-        );
+        let error = v.get("error").and_then(Value::as_str);
+        assert!(error.is_some(), "error frame without a message: {body}");
+        if frame.as_slice() == undersized {
+            assert!(
+                error.is_some_and(|e| e.contains("got 2")),
+                "undersized cycle error does not name the size: {body}"
+            );
+        }
     }
 
     // …and the same connection still serves: ping, then a real query

@@ -72,13 +72,14 @@ pub mod ledger;
 pub use checkpoint::{spec_hash, Checkpoint};
 pub use ledger::{Ledger, LedgerGroup};
 
+use std::convert::Infallible;
 use std::ops::Range;
 
 use mrw_graph::{Graph, GraphBackend, ImplicitGraph};
-use mrw_par::{par_map_chunks_with, par_map_with, SeedSequence};
+use mrw_par::{par_map_with, SeedSequence};
 use mrw_stats::ci::{normal_ci, ConfidenceInterval};
 use mrw_stats::precision::PrecisionTarget;
-use mrw_stats::{IntMoments, Precision, SequentialCi, Summary, Trials};
+use mrw_stats::{IntMoments, Precision, Summary, Trials};
 
 use crate::engine::{BatchMode, Engine, EngineArena, FullCover, SimpleStep};
 use crate::hitting_mc::{hmax_candidates, hmax_mc_cap, HitEstimate, HmaxEstimate};
@@ -497,6 +498,22 @@ impl GraphSpec {
         use mrw_graph::generators;
         self.validate_jumps()?;
         let n = self.n;
+        // The generators assert their size bounds; spec files are
+        // untrusted input, so check them here as an `Err`.
+        let min = match self.family.as_str() {
+            "cycle" => 3,
+            "clique" => 2,
+            "path" | "torus" | "clique-loops" => 1,
+            _ => 0,
+        };
+        if n < min {
+            return Err(format!("{} needs n ≥ {min}, got {n}", self.family));
+        }
+        if self.family == "barbell" && (n.is_multiple_of(2) || n < 7) {
+            return Err(format!(
+                "barbell needs an odd n ≥ 7 (bells of size ≥ 3), got {n}"
+            ));
+        }
         Ok(match self.family.as_str() {
             "cycle" => generators::cycle(n),
             "path" => generators::path(n),
@@ -1137,14 +1154,11 @@ impl Report {
 
     /// For adaptive budgets: whether every group's merged sample
     /// satisfies the precision rule — the post-merge certification of the
-    /// achieved half-width, via the sequential rule's sufficient-stats
-    /// form ([`SequentialCi::from_summary`]). `None` for fixed budgets.
+    /// achieved half-width ([`Precision::satisfied_by`] on the exact
+    /// merged statistics). `None` for fixed budgets.
     pub fn certified(&self) -> Option<bool> {
-        use mrw_stats::precision::Decision;
         let rule = self.budget.precision?;
-        Some(self.groups.iter().all(|g| {
-            SequentialCi::from_summary(rule, g.summary()).decision() == Decision::PrecisionReached
-        }))
+        Some(self.groups.iter().all(|g| rule.satisfied_by(&g.summary())))
     }
 
     /// Losslessly merges two shard reports of the same experiment.
@@ -2045,34 +2059,36 @@ impl Session {
     /// adaptive budgets sample in waves until `rule` fires (whole-range
     /// sessions only); everything else fans the (sliced) index range out
     /// flat. `sample(ws, i)` must be a pure function of `i`.
-    fn run_group<S: Send>(
+    fn run_group<S>(
         &self,
         init: impl Fn() -> S + Sync,
         sample: impl Fn(&mut S, usize) -> Outcome + Sync,
     ) -> (u64, IntMoments, u64) {
         let threads = self.budget.threads;
-        let trials = self.budget.trials_budget();
-        match (trials, &self.slice) {
+        let run = |range: Range<usize>| {
+            let lo = range.start;
+            let outcomes = par_map_with(range.len(), threads, &init, |ws, i| sample(ws, lo + i));
+            let (moments, censored) = collect(&outcomes);
+            (outcomes.len() as u64, moments, censored)
+        };
+        match (self.budget.trials_budget(), &self.slice) {
             (Trials::Adaptive(rule), None) => {
-                let outcomes =
-                    par_map_chunks_with(rule.max_trials, threads, init, sample, |sofar| {
-                        let (moments, _) = collect(sofar);
-                        if rule.satisfied_by(&moments.summary()) {
-                            0
-                        } else {
-                            rule.next_wave(sofar.len())
-                        }
-                    });
-                let (moments, censored) = collect(&outcomes);
-                (outcomes.len() as u64, moments, censored)
+                // Each prefix request runs only the new window and folds
+                // it into the running (exact, integer) statistics.
+                let mut sofar = (0u64, IntMoments::new(), 0u64);
+                let Ok(group) = rule.replay(
+                    |end| {
+                        let (trials, moments, censored) = run(sofar.0 as usize..end);
+                        sofar.0 += trials;
+                        sofar.1.merge(&moments);
+                        sofar.2 += censored;
+                        Ok::<_, Infallible>(sofar)
+                    },
+                    |(_, moments, _)| moments.summary(),
+                );
+                group
             }
-            (trials, _) => {
-                let range = self.slice_range(trials.cap());
-                let lo = range.start;
-                let outcomes = par_map_with(range.len(), threads, init, |ws, i| sample(ws, lo + i));
-                let (moments, censored) = collect(&outcomes);
-                (outcomes.len() as u64, moments, censored)
-            }
+            (trials, _) => run(self.slice_range(trials.cap())),
         }
     }
 
@@ -2766,6 +2782,30 @@ mod tests {
         let back = QuerySpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.graph.build().unwrap().n(), 64);
+    }
+
+    #[test]
+    fn undersized_graph_specs_are_errors_not_panics() {
+        let bad = [
+            ("cycle", 2),
+            ("cycle", 0),
+            ("torus", 0),
+            ("clique", 1),
+            ("clique-loops", 0),
+            ("path", 0),
+            ("barbell", 8),
+            ("barbell", 5),
+        ];
+        for (family, n) in bad {
+            let spec = GraphSpec::new(family, n);
+            let err = spec.build().expect_err(family);
+            assert!(err.contains(&format!("got {n}")), "{family}({n}): {err}");
+            assert!(spec.resolve().is_err(), "{family}({n}) resolved");
+        }
+        // The smallest legal sizes still build.
+        for (family, n) in [("cycle", 3), ("torus", 1), ("clique", 2), ("barbell", 7)] {
+            assert!(GraphSpec::new(family, n).build().is_ok(), "{family}({n})");
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! floor (so the normal approximation is valid) and a hard cap (so a
 //! heavy-tailed instance cannot run forever).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Precision`] — the rule itself: an absolute or relative half-width
-//!   target at a confidence level, plus the floor and cap.
-//! * [`SequentialCi`] — a reusable accumulator pairing a [`Summary`] with
-//!   a `Precision`; push observations, ask [`SequentialCi::decision`].
+//!   target at a confidence level, plus the floor and cap. It also owns
+//!   the adaptive schedule: [`Precision::waves`] plans the trial windows
+//!   and [`Precision::replay`] runs the stop-at-first-satisfied-boundary
+//!   loop that `Session`, `mrw serve` and `mrw fanout` all share.
 //! * [`Trials`] — the budget type estimator entry points accept:
 //!   [`Trials::Fixed`] (the classical flat count) or [`Trials::Adaptive`]
 //!   (a `Precision`).
@@ -24,11 +25,13 @@
 //! same observations in the same (index) order, [`Precision::satisfied_by`]
 //! and [`Precision::next_wave`] always answer the same. Callers that
 //! dispatch trials in waves and evaluate the rule only at wave boundaries
-//! (see `mrw_par::par_map_chunks_with`) therefore consume a trial count
-//! that depends only on the rule and the per-index sample values — never
-//! on thread count or scheduling.
+//! (through [`Precision::replay`]) therefore consume a trial count that
+//! depends only on the rule and the per-index sample values — never on
+//! thread count, sharding or scheduling.
 
-use crate::ci::{normal_ci, z_quantile, ConfidenceInterval};
+use std::ops::Range;
+
+use crate::ci::z_quantile;
 use crate::summary::Summary;
 
 /// The half-width target of a [`Precision`] rule.
@@ -70,8 +73,8 @@ pub struct Precision {
     /// matches the floor `mrw_stats::ci` documents for the normal
     /// approximation on cover-time samples.
     pub min_trials: usize,
-    /// Hard cap on observations; the rule reports
-    /// [`Decision::CapExhausted`] there even if the target was missed.
+    /// Hard cap on observations; [`replay`](Precision::replay) stops
+    /// there even if the target was missed.
     pub max_trials: usize,
 }
 
@@ -191,152 +194,62 @@ impl Precision {
         want.min(self.max_trials - consumed)
     }
 
-    /// Runs the whole sequential loop serially: draws observation `t`
-    /// from `sample` wave by wave ([`next_wave`](Self::next_wave)),
-    /// re-evaluating the rule between waves, until it fires or the cap is
-    /// hit. The single-threaded counterpart of
-    /// `mrw_par::par_map_chunks_with` — estimators whose trials are cheap
-    /// enough not to parallelize (pursuit games, partial-cover profiles)
-    /// share this one loop instead of hand-rolling it. `sample(t)` must
-    /// be a pure function of `t` for the consumed count to be
-    /// reproducible.
+    /// The whole wave schedule as contiguous trial-index windows `0..a`,
+    /// `a..b`, … ending exactly at [`max_trials`](Precision::max_trials),
+    /// each sized by [`next_wave`](Self::next_wave). A pure function of
+    /// the rule, so a driver can plan (and pipeline) every wave before
+    /// any sample is in.
+    pub fn waves(&self) -> impl Iterator<Item = Range<usize>> {
+        let rule = *self;
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            let wave = rule.next_wave(done);
+            (wave > 0).then(|| {
+                done += wave;
+                done - wave..done
+            })
+        })
+    }
+
+    /// Replays the sequential rule over cumulative sample prefixes — the
+    /// one adaptive loop every driver shares. `prefix(n)` returns the
+    /// statistics of trials `[0, n)`; it is asked at `n = 0` and then at
+    /// each [`waves`](Self::waves) end in order, and `summary` views its
+    /// answer for [`satisfied_by`](Self::satisfied_by). Returns the first
+    /// prefix that satisfies the rule, or the cap prefix if none does. An
+    /// `Err` from `prefix` ends the replay and is passed through.
+    ///
+    /// The rule only ever sees index-ordered prefixes at fixed
+    /// boundaries, so the consumed count depends on the per-index samples
+    /// alone — never on how `prefix` computes them (threads, shards,
+    /// cached ledgers).
     ///
     /// ```
     /// use mrw_stats::precision::Precision;
+    /// use mrw_stats::Summary;
     ///
     /// let rule = Precision::absolute(0.5).with_min_trials(4).with_max_trials(64);
-    /// let summary = rule.run_serial(|t| (t % 2) as f64); // tight sample
-    /// assert!(rule.satisfied_by(&summary));
-    /// assert!(summary.count() < 64);
+    /// let prefix = |n: usize| {
+    ///     let xs: Vec<f64> = (0..n).map(|t| (t % 2) as f64).collect();
+    ///     Ok::<_, String>(Summary::from_slice(&xs))
+    /// };
+    /// let stopped = rule.replay(prefix, Summary::clone).unwrap();
+    /// assert!(rule.satisfied_by(&stopped));
+    /// assert_eq!(stopped.count(), 6); // the second boundary: 4, then 6
     /// ```
-    pub fn run_serial(&self, mut sample: impl FnMut(usize) -> f64) -> Summary {
-        let mut seq = SequentialCi::new(*self);
-        loop {
-            let wave = self.next_wave(seq.consumed());
-            if wave == 0 {
+    pub fn replay<T, E>(
+        &self,
+        mut prefix: impl FnMut(usize) -> Result<T, E>,
+        summary: impl Fn(&T) -> Summary,
+    ) -> Result<T, E> {
+        let mut sofar = prefix(0)?;
+        for window in self.waves() {
+            if self.satisfied_by(&summary(&sofar)) {
                 break;
             }
-            for _ in 0..wave {
-                let t = seq.consumed();
-                seq.push(sample(t));
-            }
-            if seq.decision() == Decision::PrecisionReached {
-                break;
-            }
+            sofar = prefix(window.end)?;
         }
-        seq.into_summary()
-    }
-}
-
-/// Why a sequential run stopped (or why it hasn't).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Keep sampling: the target is not met and the cap is not reached.
-    Continue,
-    /// The precision target is met (at or above the floor).
-    PrecisionReached,
-    /// The cap was hit without meeting the target.
-    CapExhausted,
-}
-
-/// A reusable sequential-CI accumulator: a [`Summary`] paired with the
-/// [`Precision`] rule that decides when it has seen enough.
-///
-/// ```
-/// use mrw_stats::precision::{Decision, Precision, SequentialCi};
-///
-/// let rule = Precision::absolute(0.9).with_min_trials(4).with_max_trials(64);
-/// let mut seq = SequentialCi::new(rule);
-/// // A nearly-constant sample: the rule fires right at the floor.
-/// for x in [5.0, 5.1, 4.9, 5.0] {
-///     seq.push(x);
-/// }
-/// assert_eq!(seq.decision(), Decision::PrecisionReached);
-/// assert!(seq.ci().half_width() <= 0.9);
-/// assert_eq!(seq.consumed(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SequentialCi {
-    summary: Summary,
-    rule: Precision,
-}
-
-impl SequentialCi {
-    /// Creates an empty accumulator governed by `rule`.
-    pub fn new(rule: Precision) -> Self {
-        SequentialCi {
-            summary: Summary::new(),
-            rule,
-        }
-    }
-
-    /// Rebuilds an accumulator around an already-summarized sample — the
-    /// sufficient-statistics form. This is how a merged shard report
-    /// re-enters the sequential rule: combine the shards' exact moments,
-    /// view them as a [`Summary`], and ask [`decision`](Self::decision)
-    /// whether the merged sample certifies the rule's half-width.
-    pub fn from_summary(rule: Precision, summary: Summary) -> Self {
-        SequentialCi { summary, rule }
-    }
-
-    /// Merges another accumulator's sample into this one (Chan's exact
-    /// summary merge). Both sides must be governed by the same rule, so
-    /// the merged decision is well-defined.
-    ///
-    /// # Panics
-    /// If the rules differ.
-    pub fn merge(&mut self, other: &SequentialCi) {
-        assert!(
-            self.rule == other.rule,
-            "merging SequentialCi under different rules"
-        );
-        self.summary.merge(&other.summary);
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.summary.push(x);
-    }
-
-    /// The rule's verdict on the sample so far.
-    pub fn decision(&self) -> Decision {
-        if self.rule.satisfied_by(&self.summary) {
-            Decision::PrecisionReached
-        } else if self.summary.count() as usize >= self.rule.max_trials {
-            Decision::CapExhausted
-        } else {
-            Decision::Continue
-        }
-    }
-
-    /// Whether sampling should stop (for either reason).
-    pub fn is_done(&self) -> bool {
-        self.decision() != Decision::Continue
-    }
-
-    /// Observations consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.summary.count() as usize
-    }
-
-    /// The accumulated sample summary.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// The governing rule.
-    pub fn rule(&self) -> &Precision {
-        &self.rule
-    }
-
-    /// The CI at the rule's confidence level around the current mean.
-    pub fn ci(&self) -> ConfidenceInterval {
-        normal_ci(&self.summary, self.rule.confidence)
-    }
-
-    /// Consumes the accumulator, returning the sample summary.
-    pub fn into_summary(self) -> Summary {
-        self.summary
+        Ok(sofar)
     }
 }
 
@@ -472,61 +385,62 @@ mod tests {
         assert_eq!(consumed, 333);
     }
 
-    #[test]
-    fn sequential_ci_cap_exhaustion() {
-        let rule = Precision::absolute(1e-12)
-            .with_min_trials(2)
-            .with_max_trials(5);
-        let mut seq = SequentialCi::new(rule);
-        for i in 0..5 {
-            assert_eq!(seq.decision(), Decision::Continue, "at {i}");
-            seq.push(i as f64 * 10.0);
-        }
-        assert_eq!(seq.decision(), Decision::CapExhausted);
-        assert!(seq.is_done());
-        assert_eq!(seq.consumed(), 5);
+    /// The boundaries `replay` asked for, plus its answer, over the
+    /// alternating 0/1 sample with `prefix` failing at `fail_at`.
+    fn replay_calls(
+        rule: Precision,
+        fail_at: Option<usize>,
+    ) -> (Vec<usize>, Result<Summary, usize>) {
+        let mut calls = Vec::new();
+        let out = rule.replay(
+            |n| {
+                calls.push(n);
+                if Some(n) == fail_at {
+                    return Err(n);
+                }
+                let xs: Vec<f64> = (0..n).map(|t| (t % 2) as f64).collect();
+                Ok(Summary::from_slice(&xs))
+            },
+            Summary::clone,
+        );
+        (calls, out)
     }
 
     #[test]
-    fn sequential_ci_reports_interval_at_rule_confidence() {
-        let rule = Precision::absolute(10.0)
-            .with_confidence(0.99)
-            .with_min_trials(4);
-        let mut seq = SequentialCi::new(rule);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            seq.push(x);
-        }
-        assert_eq!(seq.ci().level, 0.99);
-        assert!((seq.ci().point - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sufficient_stats_form_merges_like_one_stream() {
-        // Two partial accumulators (e.g. two shards' moments viewed as
-        // summaries) merge into the same decision a single stream reaches.
+    fn replay_stops_at_first_satisfied_boundary() {
+        // Boundaries 0, 4, 6, 9, …: the ±0.5 target first holds at 6.
         let rule = Precision::absolute(0.5)
             .with_min_trials(4)
             .with_max_trials(64);
-        let xs: Vec<f64> = (0..16).map(|i| 10.0 + (i % 2) as f64).collect();
-        let mut whole = SequentialCi::new(rule);
-        for &x in &xs {
-            whole.push(x);
-        }
-        let a = SequentialCi::from_summary(rule, Summary::from_slice(&xs[..7]));
-        let mut b = SequentialCi::from_summary(rule, Summary::from_slice(&xs[7..]));
-        b.merge(&a);
-        assert_eq!(b.consumed(), whole.consumed());
-        assert_eq!(b.decision(), whole.decision());
-        assert_eq!(b.decision(), Decision::PrecisionReached);
-        assert!((b.ci().half_width() - whole.ci().half_width()).abs() < 1e-12);
+        let (calls, out) = replay_calls(rule, None);
+        assert_eq!(calls, vec![0, 4, 6]);
+        let s = out.unwrap();
+        assert_eq!(s.count(), 6);
+        assert!(rule.satisfied_by(&s));
     }
 
     #[test]
-    #[should_panic(expected = "different rules")]
-    fn merging_under_different_rules_rejected() {
-        let mut a = SequentialCi::new(Precision::absolute(1.0));
-        let b = SequentialCi::new(Precision::relative(0.1));
-        a.merge(&b);
+    fn replay_returns_cap_prefix_when_rule_never_fires() {
+        let rule = Precision::absolute(1e-12)
+            .with_min_trials(4)
+            .with_max_trials(20);
+        let (calls, out) = replay_calls(rule, None);
+        let boundaries: Vec<usize> = std::iter::once(0)
+            .chain(rule.waves().map(|w| w.end))
+            .collect();
+        assert_eq!(calls, boundaries);
+        assert_eq!(calls, vec![0, 4, 6, 9, 13, 19, 20]);
+        assert_eq!(out.unwrap().count(), 20);
+    }
+
+    #[test]
+    fn replay_passes_errors_through_without_further_calls() {
+        let rule = Precision::absolute(1e-12)
+            .with_min_trials(4)
+            .with_max_trials(20);
+        let (calls, out) = replay_calls(rule, Some(6));
+        assert_eq!(calls, vec![0, 4, 6]);
+        assert_eq!(out.unwrap_err(), 6);
     }
 
     #[test]
