@@ -547,23 +547,22 @@ impl RowSource for IrregularRows<'_> {
 }
 
 /// Implicit backend: no adjacency array exists, so each row is computed
-/// arithmetically into a stack buffer. Rows come out in the CSR builder's
-/// order, so implicit and CSR runs of the same seed agree byte-for-byte.
+/// arithmetically straight into a stack buffer. Every implicit family is
+/// regular, so the degree `d` is read once, not per step. Rows come out
+/// in the CSR builder's order, so implicit and CSR runs of the same seed
+/// agree byte-for-byte.
 struct ImplicitRows<'a, G> {
     g: &'a G,
+    d: usize,
     buf: [u32; MAX_IMPLICIT_DEGREE],
 }
 
 impl<G: GraphBackend> RowSource for ImplicitRows<'_, G> {
     #[inline(always)]
     fn row(&mut self, v: u32) -> &[u32] {
-        let d = self.g.degree(v);
-        debug_assert!(
-            d > 0 && d <= MAX_IMPLICIT_DEGREE,
-            "implicit degree {d} outside 1..={MAX_IMPLICIT_DEGREE}"
-        );
-        self.g.fill_row(v, &mut self.buf[..d]);
-        &self.buf[..d]
+        let row = &mut self.buf[..self.d];
+        self.g.fill_row(v, row);
+        row
     }
 }
 
@@ -756,15 +755,19 @@ impl<'g, G: GraphBackend, P: Process, O: Observer> Engine<'g, G, P, O> {
     ) -> (u64, bool) {
         let g = self.g;
         let Some(csr) = g.csr() else {
-            return self.drive_batched_rows(
-                ImplicitRows {
-                    g,
-                    buf: [0; MAX_IMPLICIT_DEGREE],
-                },
-                rng,
-                arena,
-                bpt,
+            let d = g
+                .regular_degree()
+                .expect("array-free backends are implicit families, all regular");
+            debug_assert!(
+                d > 0 && d <= MAX_IMPLICIT_DEGREE,
+                "implicit degree {d} outside 1..={MAX_IMPLICIT_DEGREE}"
             );
+            let rows = ImplicitRows {
+                g,
+                d,
+                buf: [0; MAX_IMPLICIT_DEGREE],
+            };
+            return self.drive_batched_rows(rows, rng, arena, bpt);
         };
         // Regular graphs with non-empty rows take direct addressing;
         // `d = 0` (edgeless) would only arise alongside an isolated-vertex

@@ -169,8 +169,9 @@ impl GraphBackend for Graph {
 enum Family {
     /// The cycle `L_n` (`n ≥ 3`).
     Cycle { n: usize },
-    /// The square torus `side × side` (`side ≥ 2`).
-    Torus2d { side: usize },
+    /// The square torus `side × side` (`2 ≤ side ≤ 65 535`), with
+    /// `recip = ⌈2⁶⁴ / side⌉` for division-free coordinate splits.
+    Torus2d { side: usize, recip: u64 },
     /// The hypercube `Q_d` (`1 ≤ d ≤ 30`).
     Hypercube { d: u32 },
     /// The circulant `C_n(jumps)` (same parameter rules as
@@ -232,7 +233,10 @@ impl ImplicitGraph {
         let n = side.checked_mul(side).expect("torus size overflows usize");
         assert!(n <= u32::MAX as usize, "torus too large for u32 vertex ids");
         ImplicitGraph {
-            family: Family::Torus2d { side },
+            family: Family::Torus2d {
+                side,
+                recip: u64::MAX / side as u64 + 1,
+            },
             n,
             name: format!("torus2d({side}x{side})"),
         }
@@ -293,7 +297,7 @@ impl ImplicitGraph {
     pub fn degree_const(&self) -> usize {
         match &self.family {
             Family::Cycle { .. } => 2,
-            Family::Torus2d { side } => {
+            Family::Torus2d { side, .. } => {
                 if *side >= 3 {
                     4
                 } else {
@@ -305,38 +309,57 @@ impl ImplicitGraph {
         }
     }
 
-    /// Writes `v`'s sorted neighbor row into `row` and returns the degree
-    /// (`row` must hold at least [`MAX_IMPLICIT_DEGREE`] entries... in
-    /// practice `degree_const()`).
+    /// Writes `v`'s sorted neighbor row into `row[..d]` and returns the
+    /// degree `d = degree_const()`; `row.len()` must be at least `d`.
+    ///
+    /// No step divides: cycle and circulant offsets wrap by conditional
+    /// subtraction, and the torus splits `v` into `(x, y)` with one
+    /// widening multiply by the precomputed `⌈2⁶⁴ / side⌉` (Lemire, Kaser
+    /// & Kurz, "Faster Remainder by Direct Computation": the quotient is
+    /// exact for every 32-bit `v` and divisor).
     #[inline]
     fn row_into(&self, v: u32, row: &mut [u32]) -> usize {
-        let vu = v as usize;
-        debug_assert!(vu < self.n, "vertex {v} out of range");
+        debug_assert!((v as usize) < self.n, "vertex {v} out of range");
         match &self.family {
             Family::Cycle { n } => {
-                let a = ((vu + 1) % n) as u32;
-                let b = ((vu + n - 1) % n) as u32;
+                let last = (*n - 1) as u32;
+                let a = if v == last { 0 } else { v + 1 };
+                let b = if v == 0 { last } else { v - 1 };
                 row[0] = a.min(b);
                 row[1] = a.max(b);
                 2
             }
-            Family::Torus2d { side } => {
-                let s = *side;
-                let (x, y) = (vu % s, vu / s);
+            Family::Torus2d { side, recip } => {
+                let s = *side as u32;
+                let y = ((u128::from(*recip) * u128::from(v)) >> 64) as u32;
+                let base = s * y;
+                let x = v - base;
                 if s >= 3 {
-                    let mut buf = [
-                        ((x + 1) % s + s * y) as u32,
-                        ((x + s - 1) % s + s * y) as u32,
-                        (x + s * ((y + 1) % s)) as u32,
-                        (x + s * ((y + s - 1) % s)) as u32,
-                    ];
-                    buf.sort_unstable();
-                    row[..4].copy_from_slice(&buf);
+                    let last = s - 1;
+                    // Row band y holds x ± 1; bands y ± 1 hold the column
+                    // neighbors. Each pair sorts with one min/max, and the
+                    // two sorted pairs merge in a 2+2 network.
+                    let (xl, xr) = (
+                        if x == 0 { last } else { x - 1 },
+                        if x == last { 0 } else { x + 1 },
+                    );
+                    let (yd, yu) = (
+                        if y == 0 { last } else { y - 1 },
+                        if y == last { 0 } else { y + 1 },
+                    );
+                    let (h0, h1) = (base + xl.min(xr), base + xl.max(xr));
+                    let (c0, c1) = (x + s * yd.min(yu), x + s * yd.max(yu));
+                    let (lo, hi) = (h0.max(c0), h1.min(c1));
+                    let row = &mut row[..4];
+                    row[0] = h0.min(c0);
+                    row[1] = lo.min(hi);
+                    row[2] = lo.max(hi);
+                    row[3] = h1.max(c1);
                     4
                 } else {
                     // side 2: each axis contributes the single edge x↔x^1.
-                    let a = ((x ^ 1) + s * y) as u32;
-                    let b = (x + s * (y ^ 1)) as u32;
+                    let a = (x ^ 1) + base;
+                    let b = x + s * (y ^ 1);
                     row[0] = a.min(b);
                     row[1] = a.max(b);
                     2
@@ -362,12 +385,14 @@ impl ImplicitGraph {
                 i
             }
             Family::Circulant { n, jumps, degree } => {
+                let (vu, n) = (v as usize, *n);
                 let mut i = 0;
                 for &s in jumps {
-                    row[i] = ((vu + s) % n) as u32;
+                    let up = vu + s;
+                    row[i] = (if up >= n { up - n } else { up }) as u32;
                     i += 1;
-                    if 2 * s != *n {
-                        row[i] = ((vu + n - s) % n) as u32;
+                    if 2 * s != n {
+                        row[i] = (if vu >= s { vu - s } else { vu + n - s }) as u32;
                         i += 1;
                     }
                 }
@@ -416,10 +441,8 @@ impl GraphBackend for ImplicitGraph {
 
     #[inline]
     fn fill_row(&self, v: u32, row: &mut [u32]) {
-        debug_assert_eq!(row.len(), self.degree_const());
-        let mut buf = [0u32; MAX_IMPLICIT_DEGREE];
-        let d = self.row_into(v, &mut buf);
-        row.copy_from_slice(&buf[..d]);
+        let d = self.row_into(v, row);
+        debug_assert_eq!(row.len(), d);
     }
 
     #[inline]
@@ -434,7 +457,7 @@ impl GraphBackend for ImplicitGraph {
     fn to_csr(&self) -> Graph {
         match &self.family {
             Family::Cycle { n } => generators::cycle(*n),
-            Family::Torus2d { side } => generators::torus_2d(*side),
+            Family::Torus2d { side, .. } => generators::torus_2d(*side),
             Family::Hypercube { d } => generators::hypercube(*d),
             Family::Circulant { n, jumps, .. } => generators::circulant(*n, jumps),
         }
@@ -506,6 +529,96 @@ mod tests {
             let mut seen = Vec::new();
             implicit.for_each_neighbor(v, |u| seen.push(u));
             assert_eq!(seen.as_slice(), csr.neighbors(v));
+        }
+    }
+
+    /// The `%`-based row formulas the division-free `row_into` replaced,
+    /// kept as the reference it must match (hypercube rows never divided).
+    fn reference_row(g: &ImplicitGraph, v: u32) -> Vec<u32> {
+        let vu = v as usize;
+        let mut row = match &g.family {
+            Family::Cycle { n } => vec![((vu + 1) % n) as u32, ((vu + n - 1) % n) as u32],
+            Family::Torus2d { side: s, .. } => {
+                let (s, x, y) = (*s, vu % s, vu / s);
+                if s >= 3 {
+                    vec![
+                        ((x + 1) % s + s * y) as u32,
+                        ((x + s - 1) % s + s * y) as u32,
+                        (x + s * ((y + 1) % s)) as u32,
+                        (x + s * ((y + s - 1) % s)) as u32,
+                    ]
+                } else {
+                    vec![((x ^ 1) + s * y) as u32, (x + s * (y ^ 1)) as u32]
+                }
+            }
+            Family::Hypercube { .. } => unreachable!("hypercube rows use bit operations"),
+            Family::Circulant { n, jumps, .. } => {
+                let mut row = Vec::new();
+                for &s in jumps {
+                    row.push(((vu + s) % n) as u32);
+                    if 2 * s != *n {
+                        row.push(((vu + n - s) % n) as u32);
+                    }
+                }
+                row
+            }
+        };
+        row.sort_unstable();
+        row
+    }
+
+    /// `fill_row`, `neighbor` and `for_each_neighbor` all equal the
+    /// reference row at every vertex of `vs`.
+    fn assert_reference(g: &ImplicitGraph, vs: impl IntoIterator<Item = u32>) {
+        let mut row = vec![0u32; g.degree_const()];
+        for v in vs {
+            let want = reference_row(g, v);
+            g.fill_row(v, &mut row);
+            assert_eq!(row, want, "fill_row({v}) on {}", g.name());
+            for (i, &u) in want.iter().enumerate() {
+                assert_eq!(g.neighbor(v, i), u, "neighbor({v}, {i}) on {}", g.name());
+            }
+            let mut seen = Vec::new();
+            g.for_each_neighbor(v, |u| seen.push(u));
+            assert_eq!(seen, want, "for_each_neighbor({v}) on {}", g.name());
+        }
+    }
+
+    /// `count` seeded uniform vertices below `n`.
+    fn sample_vertices(n: usize, count: usize, seed: u64) -> Vec<u32> {
+        use rand::{rngs::SplitMix64, Rng, SeedableRng};
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        (0..count).map(|_| rng.gen_range(0..n as u32)).collect()
+    }
+
+    #[test]
+    fn torus_reciprocal_split_matches_division_on_wrap_lines_and_interior() {
+        for side in [3usize, 7, 1023, 1024, 1025, 40_000, 65_535] {
+            let g = ImplicitGraph::torus_2d(side);
+            let last = side - 1;
+            let wrap_lines = (0..side).flat_map(|i| {
+                [(i, 0), (i, last), (0, i), (last, i)].map(|(x, y)| (x + side * y) as u32)
+            });
+            assert_reference(&g, wrap_lines);
+            assert_reference(&g, sample_vertices(side * side, 4096, side as u64));
+        }
+    }
+
+    #[test]
+    fn cycle_and_circulant_wrap_matches_modulo_near_the_u32_ceiling() {
+        for n in [u32::MAX as usize, u32::MAX as usize - 1] {
+            let ends = [0, 1, 2, n / 2 - 1, n / 2, n / 2 + 1, n - 3, n - 2, n - 1];
+            let vs = || {
+                ends.iter()
+                    .map(|&v| v as u32)
+                    .chain(sample_vertices(n, 4096, 7))
+            };
+            assert_reference(&ImplicitGraph::cycle(n), vs());
+            let mut jumps = vec![1, 3, 1 << 20, n / 2 - 1, n - 5];
+            if n % 2 == 0 {
+                jumps.push(n / 2); // the half jump: one antipode per vertex
+            }
+            assert_reference(&ImplicitGraph::circulant(n, &jumps), vs());
         }
     }
 
