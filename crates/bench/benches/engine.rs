@@ -1,5 +1,5 @@
 //! Bench: raw engine throughput — walk steps per second on graphs with
-//! different degree profiles, thread-pool scaling of the trial fan-out,
+//! different degree profiles, thread scaling of the trial fan-out,
 //! and the batched-vs-scalar stepping comparison, which additionally
 //! emits `BENCH_engine.json` at the workspace root so CI tracks the
 //! perf trajectory (see `.github/workflows/ci.yml`, bench-smoke step).
@@ -10,7 +10,6 @@ use mrw_core::engine::{
 };
 use mrw_core::{walk_rng, Budget, CoverTimeEstimator, WalkProcess};
 use mrw_graph::generators;
-use mrw_par::ThreadPool;
 
 fn bench_step_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("walk_step_throughput");
@@ -56,25 +55,6 @@ fn bench_trial_scaling(c: &mut Criterion) {
             b.iter(|| CoverTimeEstimator::new(&g, 2, cfg.clone()).run_from(0))
         });
     }
-    group.finish();
-}
-
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_dispatch_overhead");
-    group.sample_size(10);
-    const JOBS: usize = 10_000;
-    group.throughput(Throughput::Elements(JOBS as u64));
-    group.bench_function("work_stealing_pool", |b| {
-        let pool = ThreadPool::new(4);
-        b.iter(|| {
-            for _ in 0..JOBS {
-                pool.execute(|| {
-                    std::hint::black_box(3u64.wrapping_mul(5));
-                });
-            }
-            pool.join();
-        })
-    });
     group.finish();
 }
 
@@ -299,7 +279,6 @@ criterion_group!(
     benches,
     bench_step_throughput,
     bench_trial_scaling,
-    bench_pool_dispatch,
     bench_unified_engine_ablation,
     bench_batched_vs_scalar
 );

@@ -20,7 +20,8 @@
 //!   walk spectrum (Jacobi), stationary distributions, spectral gap.
 //! * [`stats`] — Monte-Carlo summaries, confidence intervals, fits, and a
 //!   two-sample Kolmogorov–Smirnov test.
-//! * [`par`] — the work-stealing pool used to run trials in parallel.
+//! * [`par`] — the deterministic trial fan-out (`par_map_with`) and the
+//!   counter-based seed derivation that makes it thread-count independent.
 //!
 //! ## Quickstart
 //!
