@@ -7,7 +7,7 @@
 //!   adaptive cap. The adaptive run should finish in a small fraction of
 //!   the fixed run's time — that ratio *is* the feature.
 //! * `wave_overhead` — the same consumed trial count spent through the
-//!   flat fan-out vs the wave-by-wave `Precision::replay` path (one
+//!   flat fan-out vs the wave-by-wave `Trials::replay` path (one
 //!   `par_map_with` per wave), so the per-wave dispatch +
 //!   rule-evaluation overhead stays visible and bounded.
 

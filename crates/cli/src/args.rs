@@ -77,9 +77,10 @@ sharding (run / shard / merge):
 
 fanout / resume (multi-process scale-out):
   --workers N     concurrent worker processes (default: available threads)
-  --shards S      work ranges to plan for a fixed budget
-                  (default: 4*workers so idle workers can steal;
-                  adaptive budgets split per wave)
+  --shards S      work ranges a fixed budget's one window is cut into
+                  (default: 4*workers so idle workers can steal; a
+                  resumed gap is cut into ranges of that size; each
+                  adaptive wave is cut into one range per worker)
   --chunk C       dispatch chunks of at most C trials instead of the
                   planned ranges (stealing granularity)
   --retries R     per-range retry budget for failed/hung/corrupt
@@ -206,8 +207,8 @@ pub struct Options {
     pub groups: Option<Vec<usize>>,
     /// `--workers N` (the `fanout` verb's concurrent process count).
     pub workers: Option<usize>,
-    /// `--shards S` (the `fanout` verb's planned range count for fixed
-    /// budgets).
+    /// `--shards S` (the `fanout` verb's range count for a fixed budget's
+    /// one window).
     pub fanout_shards: Option<usize>,
     /// `--retries R` (the `fanout` verb's per-range retry budget).
     pub retries: Option<usize>,

@@ -44,6 +44,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use mrw_core::query::ShardPlan;
 use mrw_core::Report;
 use rand::rngs::SplitMix64;
 
@@ -119,8 +120,9 @@ pub struct DispatchConfig {
 }
 
 /// One schedulable unit: a trial range, the group restriction it should
-/// run under, and the wave window it belongs to (fixed budgets are a
-/// single wave `0`).
+/// run under, and the index of the schedule window it belongs to (a
+/// fixed budget's one window, and serve's delegated range, are wave
+/// `0`).
 #[derive(Debug, Clone)]
 pub struct Chunk {
     range: Range<usize>,
@@ -544,6 +546,13 @@ pub(crate) fn merge_all(reports: &[Report]) -> Result<Report, String> {
     let mut it = reports.iter();
     let first = it.next().ok_or("no shard reports to merge")?.clone();
     it.try_fold(first, |acc, r| Report::merge(&acc, r))
+}
+
+/// Cuts a contiguous gap into balanced chunks of at most `chunk_len`
+/// trials. Shared by `fanout` (resumed gaps and `--chunk`) and the
+/// serve-side delegation path.
+pub(crate) fn split_chunks(gap: Range<usize>, chunk_len: usize) -> Vec<Range<usize>> {
+    ShardPlan::split(gap.clone(), gap.len().div_ceil(chunk_len.max(1)))
 }
 
 #[cfg(test)]

@@ -10,23 +10,25 @@
 //! which worker ran which chunk, in what order, or how many times a
 //! chunk had to be retried.
 //!
-//! ## The two execution shapes
+//! ## One execution shape: the budget's wave schedule
 //!
-//! * **Fixed budgets** — `[0, N)` is cut into chunks (`--shards` many, or
-//!   `--chunk`-sized; default `4 × workers` so the pool can steal around
-//!   stragglers); one pull-driven pass, then a fold of [`Report::merge`].
-//! * **Adaptive budgets** — the sequential stopping rule is replicated at
-//!   the *driver*: trials are dispatched wave by wave on exactly the
-//!   boundaries the in-process loop uses (`Precision::waves`, rule
-//!   evaluated on index-ordered prefix moments), with groups dropping out
-//!   of later waves the moment their rule fires (`mrw shard --groups`).
-//!   The wave *schedule* is a pure function of the consumed count, so the
-//!   driver pipelines it: the next wave's chunks are enqueued before the
-//!   current wave's stragglers finish, under the last known active-group
-//!   set — always a superset of the true one, and the prefix fold only
-//!   accumulates still-active groups, so the optimistic extra trials are
-//!   ignored and the assembled report (per-group consumed counts
-//!   included) stays byte-identical to the unsharded adaptive run.
+//! The driver replays the budget's schedule ([`Trials::waves`]) across
+//! the pool, evaluating the rule exactly where the in-process loop
+//! ([`Trials::replay`]) does: on index-ordered prefix moments at each
+//! window end. A fixed budget is the one window `[0, N)`, cut into
+//! `--shards` chunks (default `4 × workers`, so the pool can steal around
+//! stragglers) or `--chunk`-sized ones, gathered, and folded with
+//! [`Report::merge`]. An adaptive budget's windows are each cut into one
+//! chunk per worker, and a group drops out of later waves the moment its
+//! rule fires (`mrw shard --groups`). The schedule is a pure function of
+//! the budget, so the driver pipelines it: the next wave's chunks are
+//! enqueued before the current wave's stragglers finish, under the last
+//! known active-group set — always a superset of the true one, and the
+//! prefix fold only accumulates still-active groups, so the optimistic
+//! extra trials are ignored and the assembled report (per-group consumed
+//! counts included) stays byte-identical to the unsharded run. Every
+//! completed window must merge to exactly its `[lo, hi)` coverage, or the
+//! run fails instead of emitting a miscounted report.
 //!
 //! ## Failure handling, checkpoints, and resume
 //!
@@ -47,11 +49,10 @@ use std::time::Duration;
 
 use mrw_core::query::{Checkpoint, Coverage, GraphInfo, ShardPlan};
 use mrw_core::{AnyGraph, Group, QuerySpec, Report};
-use mrw_graph::GraphBackend;
-use mrw_stats::Precision;
+use mrw_stats::Trials;
 
 use crate::args::Options;
-use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
+use crate::dispatch::{merge_all, split_chunks, Chunk, DispatchConfig, Dispatcher, Scratch};
 
 /// Default per-chunk retry budget for failed, hung, or corrupt workers.
 pub const DEFAULT_RETRIES: usize = 2;
@@ -156,11 +157,6 @@ struct DriveResult {
     retries_used: usize,
 }
 
-/// Cuts a contiguous gap into chunks of at most `chunk_len` trials.
-fn split_chunks(gap: Range<usize>, chunk_len: usize) -> Vec<Range<usize>> {
-    ShardPlan::split(gap.clone(), gap.len().div_ceil(chunk_len.max(1)))
-}
-
 /// The still-missing chunk ranges of one wave window, given whatever a
 /// checkpoint already covers of it.
 fn window_gaps(window: &Range<usize>, saved: Option<&Report>) -> Vec<Range<usize>> {
@@ -177,8 +173,7 @@ fn window_gaps(window: &Range<usize>, saved: Option<&Report>) -> Vec<Range<usize
 
 /// Runs a spec across the worker pool, fresh (`saved` empty) or resumed
 /// from a checkpoint's per-wave partial reports. All scheduling goes
-/// through one [`Dispatcher`]; the fixed path is the one-window special
-/// case of the wave machinery.
+/// through one [`Dispatcher`] and one wave driver ([`drive_waves`]).
 fn drive(
     spec: &QuerySpec,
     g: &AnyGraph,
@@ -186,9 +181,6 @@ fn drive(
     opts: &Options,
 ) -> Result<DriveResult, String> {
     let workers = opts.workers.unwrap_or_else(mrw_par::available_threads);
-    let retries = opts.retries.unwrap_or(DEFAULT_RETRIES);
-    let cap = spec.budget.trials_budget().cap();
-
     let scratch = Scratch::new()?;
     // The children must see the *resolved* spec (CLI overrides applied —
     // or, on resume, the checkpoint's frozen spec), so the driver ships
@@ -198,17 +190,13 @@ fn drive(
         .map_err(|e| format!("{}: {e}", spec_path.display()))?;
     let cfg = DispatchConfig {
         workers,
-        retries,
+        retries: opts.retries.unwrap_or(DEFAULT_RETRIES),
         threads: opts.threads,
         deadline_floor: Duration::from_millis(opts.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS)),
         jitter_seed: spec.budget.seed,
     };
     let mut pool = Dispatcher::new(spec_path, &scratch, cfg)?;
-
-    let outcome = match spec.budget.precision {
-        None => drive_fixed(saved, opts, cap, workers, &mut pool)?,
-        Some(rule) => drive_adaptive(spec, g, saved, opts, cap, workers, rule, &mut pool)?,
-    };
+    let outcome = drive_waves(spec, g, saved, opts, workers, &mut pool)?;
     Ok(DriveResult {
         outcome,
         failures: std::mem::take(&mut pool.failures),
@@ -216,99 +204,36 @@ fn drive(
     })
 }
 
-/// The fixed-budget drive: one wave window `[0, cap)`, scatter the
-/// missing chunks, gather, merge.
-fn drive_fixed(
-    saved: &[Report],
-    opts: &Options,
-    cap: usize,
-    workers: usize,
-    pool: &mut Dispatcher,
-) -> Result<Result<Report, Interrupted>, String> {
-    let prior = match saved {
-        [] => None,
-        more => Some(merge_all(more)?),
-    };
-    let fresh = prior.is_none();
-    let gaps: Vec<Range<usize>> = match &prior {
-        None => std::iter::once(0..cap).collect(),
-        Some(r) => r
-            .coverage
-            .missing(cap as u64)
-            .into_iter()
-            .map(|(lo, hi)| lo as usize..hi as usize)
-            .collect(),
-    };
-    if gaps.is_empty() {
-        // A checkpoint that was already complete: nothing to dispatch.
-        // Empty gaps with no prior means cap == 0, which Budget rejects
-        // upstream; surface it as an error instead of panicking (rule P1).
-        return match prior {
-            Some(r) => Ok(Ok(r)),
-            None => Err("internal: empty trial range with no saved report".into()),
-        };
-    }
-    let chunks: Vec<Range<usize>> = if fresh && opts.chunk.is_none() {
-        // A fresh run plans like `--shards` always did (default: four
-        // chunks per worker, so idle workers have something to steal).
-        let shards = opts.fanout_shards.unwrap_or((workers * 4).min(cap)).max(1);
-        ShardPlan::new(cap, shards).ranges().collect()
-    } else {
-        let chunk_len = opts
-            .chunk
-            .unwrap_or_else(|| cap.div_ceil((workers * 4).min(cap).max(1)));
-        gaps.into_iter()
-            .flat_map(|gap| split_chunks(gap, chunk_len))
-            .collect()
-    };
-    for range in chunks {
-        pool.enqueue(Chunk::new(0, range, None));
-    }
-    let stopped = pool.run_until_wave_done(0).err();
-    let mut parts = pool.take_completed(0);
-    parts.extend(prior);
-    match stopped {
-        None => {
-            let merged = merge_all(&parts)?;
-            if !merged.is_complete() {
-                return Err(format!(
-                    "merged report is incomplete: missing trial ranges {:?}",
-                    merged.coverage.missing(cap as u64)
-                ));
-            }
-            Ok(Ok(merged))
-        }
-        Some(error) => Ok(Err(Interrupted {
-            error,
-            waves: if parts.is_empty() {
-                Vec::new()
-            } else {
-                vec![merge_all(&parts)?]
-            },
-            missing: pool.missing_ranges(),
-        })),
-    }
-}
-
-/// The adaptive drive: replays the sequential stopping rule wave by wave
-/// across the pool, pipelining the (purely schedulable) next wave behind
-/// the current one. See the module docs for why the optimistic
+/// The wave driver: the budget's schedule ([`Trials::waves`]) replayed
+/// window by window across the pool, pipelining the (purely
+/// schedulable) next window behind the current one. A fixed budget is
+/// the one-window schedule. See the module docs for why the optimistic
 /// active-set superset preserves byte-identity.
-#[allow(clippy::too_many_arguments)]
-fn drive_adaptive(
+fn drive_waves(
     spec: &QuerySpec,
     g: &AnyGraph,
     saved: &[Report],
     opts: &Options,
-    cap: usize,
     workers: usize,
-    rule: Precision,
     pool: &mut Dispatcher,
 ) -> Result<Result<Report, Interrupted>, String> {
-    // The wave schedule is a pure function of the rule — no sample data
+    let trials = spec.budget.trials_budget();
+    // The schedule is a pure function of the budget — no sample data
     // needed — which is what makes both pipelining and checkpoint replay
     // possible.
-    let windows: Vec<Range<usize>> = rule.waves().collect();
+    let windows: Vec<Range<usize>> = trials.waves().collect();
+    if windows.is_empty() {
+        // `checked_graph` rejects an empty budget before any drive.
+        return Err("internal: empty trial schedule".into());
+    }
+    // A whole fresh window splits into `pieces` ranges: `--shards`
+    // (default four per worker, so idle workers have something to steal)
+    // for a fixed budget's one window, one per worker for an adaptive
+    // wave. Resumed gaps and `--chunk` cut chunks of at most one piece.
+    let pieces = match trials {
+        Trials::Fixed(_) => opts.fanout_shards.unwrap_or(workers * 4),
+        Trials::Adaptive(_) => workers,
+    };
 
     // Slot each checkpointed partial into its wave window.
     let mut saved_by: Vec<Option<Report>> = vec![None; windows.len()];
@@ -343,13 +268,11 @@ fn drive_adaptive(
             let window = &windows[w];
             for gap in window_gaps(window, saved) {
                 let chunks = if opts.chunk.is_none() && gap == *window {
-                    // A full fresh window splits exactly like the
-                    // in-process wave fan-out (and PR 5's driver).
-                    ShardPlan::split(gap, workers)
+                    ShardPlan::split(gap, pieces)
                 } else {
                     let chunk_len = opts
                         .chunk
-                        .unwrap_or_else(|| window.len().div_ceil(workers.min(window.len()).max(1)));
+                        .unwrap_or_else(|| window.len().div_ceil(pieces.min(window.len()).max(1)));
                     split_chunks(gap, chunk_len)
                 };
                 for range in chunks {
@@ -365,10 +288,10 @@ fn drive_adaptive(
         enqueue_window(pool, w, &None, saved.as_ref());
     }
 
-    // Driver-side replication of the in-process sequential loop: same
-    // wave boundaries, same rule, same prefix moments. `groups` holds each
-    // group's cumulative prefix; a group that retires stops folding, so
-    // its prefix is already final.
+    // Driver-side replication of `Trials::replay`: same wave boundaries,
+    // same rule, same prefix moments. `groups` holds each group's
+    // cumulative prefix; a group that retires stops folding, so its
+    // prefix is already final.
     let mut groups: Vec<Group> = Vec::new();
     let mut active: Vec<usize> = Vec::new();
     let mut folded: Vec<Report> = Vec::new(); // complete waves, for checkpoints
@@ -394,11 +317,13 @@ fn drive_adaptive(
         let mut parts = pool.take_completed(w);
         parts.extend(saved_by[w].take());
         let wave_report = merge_all(&parts)?;
-        debug_assert_eq!(
-            wave_report.coverage.ranges(),
-            [(windows[w].start as u64, windows[w].end as u64)],
-            "a completed wave must cover its whole window"
-        );
+        let (lo, hi) = (windows[w].start as u64, windows[w].end as u64);
+        if wave_report.coverage.ranges() != [(lo, hi)] {
+            return Err(format!(
+                "merged wave is incomplete: missing trial ranges {:?}",
+                wave_report.coverage.missing_within(lo, hi)
+            ));
+        }
         if w == 0 {
             // Wave 0 ran every group: it is each group's first prefix.
             groups = wave_report.groups.clone();
@@ -410,7 +335,9 @@ fn drive_adaptive(
         }
         folded.push(wave_report);
         // Retire groups whose rule fired at this boundary.
-        active.retain(|&gi| !rule.satisfied_by(&groups[gi].summary()));
+        if let Some(rule) = trials.precision() {
+            active.retain(|&gi| !rule.satisfied_by(&groups[gi].summary()));
+        }
         if active.is_empty() {
             break;
         }
@@ -425,13 +352,10 @@ fn drive_adaptive(
     // or the cap cut the schedule) is killed when the pool drops. Groups
     // still active at the cap stop with their accumulated prefix.
     Ok(Ok(Report {
-        graph: GraphInfo {
-            name: g.name().to_string(),
-            n: g.n(),
-        },
+        graph: GraphInfo::of(g),
         query: spec.query.clone(),
         budget: spec.budget.clone(),
-        coverage: Coverage::full(cap as u64),
+        coverage: Coverage::full(trials.cap() as u64),
         groups,
     }))
 }
@@ -589,16 +513,7 @@ pub fn run_resume(opts: &Options) -> Result<(), String> {
     }
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let checkpoint = Checkpoint::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let g = checkpoint
-        .spec
-        .graph
-        .resolve()
-        .map_err(|e| format!("{path}: {e}"))?;
-    checkpoint
-        .spec
-        .query
-        .validate(&g)
-        .map_err(|e| format!("{path}: {e}"))?;
+    let g = crate::checked_graph(&checkpoint.spec).map_err(|e| format!("{path}: {e}"))?;
     let result = drive(&checkpoint.spec, &g, &checkpoint.waves, opts)?;
     conclude(
         checkpoint.spec,

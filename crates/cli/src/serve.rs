@@ -25,15 +25,16 @@
 //! mode + batch; *not* trial count or precision rule), a per-group
 //! ledger of cumulative prefix snapshots: the group's exact statistics
 //! over trials `[0, b)` at every boundary `b` a request has touched.
-//! Serving a budget then runs only the missing index range:
+//! Serving a budget replays its schedule — the same `Trials::replay` loop
+//! `Session::run` executes — against the cached prefixes, running only
+//! the missing index range of each prefix it asks for:
 //!
-//! * **fixed `n`**: merge the greatest cached prefix `b ≤ n` with a
-//!   fresh `b..n` slice (a pure *extension* when the entry already
-//!   existed);
-//! * **adaptive rule**: replay the sequential wave schedule — the same
-//!   `Precision::replay` loop `Session::run` executes — against the
-//!   cached prefixes, dispatching only waves the ledger cannot answer (a
-//!   precision *upgrade* resumes from the cached moments).
+//! * **fixed `n`**: one prefix, `[0, n)`: merge the greatest cached
+//!   prefix `b ≤ n` with a fresh `b..n` slice (a pure *extension* when
+//!   the entry already existed);
+//! * **adaptive rule**: the prefix at each wave end, dispatching only
+//!   waves the ledger cannot answer (a precision *upgrade* resumes from
+//!   the cached moments).
 //!
 //! Every boundary served is inserted into the ledger, so repeated and
 //! overlapping queries from many clients compose instead of recomputing.
@@ -97,10 +98,9 @@ use mrw_core::query::{
 };
 use mrw_core::AnyGraph;
 use mrw_graph::GraphBackend;
-use mrw_stats::IntMoments;
 
 use crate::args::Options;
-use crate::dispatch::{merge_all, Chunk, DispatchConfig, Dispatcher, Scratch};
+use crate::dispatch::{merge_all, split_chunks, Chunk, DispatchConfig, Dispatcher, Scratch};
 use crate::fanout::{DEFAULT_DEADLINE_MS, DEFAULT_RETRIES};
 
 /// Hard cap on one request frame — hostile input must not buffer
@@ -453,12 +453,8 @@ impl Runner<'_> {
         };
         let mut dispatcher = Dispatcher::new(spec_path, &scratch, cfg)?;
         let len = n - lo;
-        let chunk_len = len.div_ceil((d.workers * 4).min(len).max(1));
-        let mut start = lo;
-        while start < n {
-            let end = (start + chunk_len).min(n);
-            dispatcher.enqueue(Chunk::new(0, start..end, groups.clone()));
-            start = end;
+        for range in split_chunks(lo..n, len.div_ceil((d.workers * 4).min(len).max(1))) {
+            dispatcher.enqueue(Chunk::new(0, range, groups.clone()));
         }
         dispatcher.run_until_wave_done(0)?;
         let parts = dispatcher.take_completed(0);
@@ -489,10 +485,7 @@ struct ReportEntry {
 impl ReportEntry {
     fn new(spec: &QuerySpec, g: &AnyGraph) -> ReportEntry {
         ReportEntry {
-            graph: GraphInfo {
-                name: g.name().to_string(),
-                n: g.n(),
-            },
+            graph: GraphInfo::of(g),
             spec: QuerySpec {
                 graph: spec.graph.clone(),
                 query: spec.query.clone(),
@@ -583,20 +576,14 @@ impl ReportEntry {
     /// wherever requests actually land. Returns the group and the trial
     /// count dispatched.
     fn prefix(&mut self, runner: &Runner<'_>, idx: usize, n: u64) -> Result<(Group, u64), String> {
-        let empty = |label: String| Group {
-            label,
-            trials: 0,
-            moments: IntMoments::new(),
-            censored: 0,
-        };
         if n == 0 {
-            return Ok((empty(self.groups[idx].label.clone()), 0));
+            return Ok((Group::empty(self.groups[idx].label.clone()), 0));
         }
         match self.groups[idx].prefixes.binary_search_by_key(&n, |p| p.0) {
             Ok(pos) => Ok((self.groups[idx].prefixes[pos].1.clone(), 0)),
             Err(pos) => {
                 let (lo, base) = if pos == 0 {
-                    (0, empty(self.groups[idx].label.clone()))
+                    (0, Group::empty(self.groups[idx].label.clone()))
                 } else {
                     let (hi, cum) = &self.groups[idx].prefixes[pos - 1];
                     (*hi, cum.clone())
@@ -741,49 +728,34 @@ fn compute_run(
     entry: &mut ReportEntry,
     runner: &Runner<'_>,
     spec: &QuerySpec,
-    cap: usize,
 ) -> Result<(Report, u64), String> {
+    let trials = spec.budget.trials_budget();
     let mut ran = 0u64;
+    if entry.groups.is_empty() {
+        let first = trials.waves().next().map_or(0, |w| w.end);
+        ran += entry.initialize(runner, first)?;
+    }
+    // Per group, replay the exact schedule `Session::run` executes (a
+    // fixed budget's one window, or the sequential waves). Cached
+    // prefixes answer windows for free; only genuinely new ranges run.
     let mut groups = Vec::new();
-    match spec.budget.precision {
-        None => {
-            let n = spec.budget.trials;
-            if entry.groups.is_empty() {
-                ran += entry.initialize(runner, n)?;
-            }
-            for idx in 0..entry.groups.len() {
-                let (cum, r) = entry.prefix(runner, idx, n as u64)?;
-                ran += r;
-                groups.push(cum);
-            }
-        }
-        Some(rule) => {
-            if entry.groups.is_empty() {
-                let first = rule.waves().next().map_or(0, |w| w.end);
-                ran += entry.initialize(runner, first)?;
-            }
-            // Per group, replay the exact sequential wave schedule
-            // `Session::run` executes. Cached prefixes answer waves for
-            // free; only genuinely new ranges run.
-            for idx in 0..entry.groups.len() {
-                let cum = rule.replay(
-                    |n| {
-                        entry.prefix(runner, idx, n as u64).map(|(cum, r)| {
-                            ran += r;
-                            cum
-                        })
-                    },
-                    Group::summary,
-                )?;
-                groups.push(cum);
-            }
-        }
+    for idx in 0..entry.groups.len() {
+        let cum = trials.replay(
+            |n| {
+                entry.prefix(runner, idx, n as u64).map(|(cum, r)| {
+                    ran += r;
+                    cum
+                })
+            },
+            Group::summary,
+        )?;
+        groups.push(cum);
     }
     let report = Report {
         graph: entry.graph.clone(),
         query: spec.query.clone(),
         budget: spec.budget.clone(),
-        coverage: Coverage::full(cap as u64),
+        coverage: Coverage::full(trials.cap() as u64),
         groups,
     };
     Ok((report, ran))
@@ -795,8 +767,7 @@ fn compute_run(
 /// serialize into one miss plus hits while distinct keys compute
 /// concurrently.
 fn serve_run(server: &Server, spec: &QuerySpec) -> Result<Report, String> {
-    let cap = spec.budget.trials_budget().cap();
-    if cap < 1 {
+    if spec.budget.trials_budget().cap() < 1 {
         return Err("budget needs at least one trial".into());
     }
     let graph_key = spec.graph.cache_key();
@@ -836,7 +807,7 @@ fn serve_run(server: &Server, spec: &QuerySpec) -> Result<Report, String> {
         graph: graph.as_ref(),
         delegation: server.delegation.as_ref(),
     };
-    let outcome = compute_run(&mut entry, &runner, spec, cap);
+    let outcome = compute_run(&mut entry, &runner, spec);
     // Check-in pass. On a compute/delegation error the entry is
     // reinserted if it pre-existed — every boundary it holds is still
     // exact — and dropped if this was its first contact, so the next

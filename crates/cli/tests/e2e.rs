@@ -12,6 +12,8 @@ use std::path::{Path, PathBuf};
 
 use assert_cmd::predicates::str::contains;
 use assert_cmd::Command;
+use mrw_core::query::Checkpoint;
+use mrw_core::QuerySpec;
 
 /// A scratch directory removed when the test finishes.
 struct TempDir(PathBuf);
@@ -666,4 +668,26 @@ fn resume_rejects_budget_overrides_and_tampered_checkpoints() {
         .assert()
         .failure()
         .stderr(contains("spec_hash mismatch"));
+}
+
+#[test]
+fn resume_rejects_a_zero_trial_checkpoint() {
+    // A well-formed checkpoint (recomputed fingerprint) whose embedded
+    // spec has no trials gets the same friendly error as `mrw run`, not
+    // a panic in the shard planner.
+    let tmp = TempDir::new("fanresumezero");
+    let spec = QuerySpec::from_json(&FIXED_SPEC.replace("\"trials\": 96", "\"trials\": 0"))
+        .expect("zero-trial spec parses");
+    let checkpoint = Checkpoint {
+        spec,
+        failures: Vec::new(),
+        waves: Vec::new(),
+    };
+    let ck = tmp.file("ck.json", &checkpoint.to_json());
+    mrw()
+        .args(["resume", ck.to_str().unwrap(), "--json"])
+        .assert()
+        .code(1)
+        .stderr(contains("error:"))
+        .stderr(contains("at least one trial"));
 }

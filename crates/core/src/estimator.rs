@@ -14,7 +14,7 @@
 //! `(graph, k, budget)` regardless of the machine's core count — for an
 //! adaptive budget this includes the *consumed trial count*, because the
 //! stopping rule is only evaluated at wave boundaries on index-ordered
-//! prefixes (see [`mrw_stats::Precision::replay`]).
+//! prefixes (see [`mrw_stats::Trials::replay`]).
 
 use mrw_graph::{Graph, GraphBackend};
 use mrw_stats::ci::{normal_ci, ConfidenceInterval};

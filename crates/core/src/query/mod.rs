@@ -903,6 +903,18 @@ pub struct Group {
 }
 
 impl Group {
+    /// A group with no trials: what a filtered-out group keeps so the
+    /// report's structure stays mergeable, and the zero prefix every
+    /// cumulative fold starts from.
+    pub fn empty(label: String) -> Group {
+        Group {
+            label,
+            trials: 0,
+            moments: IntMoments::new(),
+            censored: 0,
+        }
+    }
+
     /// The sample as a [`Summary`] (a pure function of the exact
     /// statistics — identical however the sample was sharded).
     pub fn summary(&self) -> Summary {
@@ -934,6 +946,55 @@ impl Group {
             censored: self.censored + other.censored,
         }
     }
+
+    /// The seven exact fields every serialized group carries, in schema
+    /// order (`trials`, `count`, `sum`, `sum_sq`, `min`, `max`,
+    /// `censored`): report groups put their label first and append the
+    /// derived `mean`/`half_width`; ledger prefixes put their `hi` first.
+    pub(crate) fn moment_fields(&self) -> [(&'static str, Value); 7] {
+        let m = &self.moments;
+        [
+            ("trials", Value::num(self.trials)),
+            ("count", Value::num(m.count())),
+            ("sum", Value::num(m.sum())),
+            ("sum_sq", Value::num(m.sum_sq())),
+            ("min", m.min().map_or(Value::Null, Value::num)),
+            ("max", m.max().map_or(Value::Null, Value::num)),
+            ("censored", Value::num(self.censored)),
+        ]
+    }
+
+    /// Parses the [`moment_fields`](Group::moment_fields) of a serialized
+    /// group (other fields are ignored) and labels it.
+    pub(crate) fn from_moment_fields(label: String, v: &Value) -> Result<Group, String> {
+        let int = |key: &str| {
+            v.req(key)?
+                .as_u64()
+                .ok_or_else(|| format!("{key} must be an integer"))
+        };
+        let wide = |key: &str| {
+            v.req(key)?
+                .as_u128()
+                .ok_or_else(|| format!("{key} must be an integer"))
+        };
+        // An empty sample renders its extremes as `null`.
+        let extreme = |key: &str, empty: u64| match v.req(key)? {
+            Value::Null => Ok(empty),
+            _ => int(key),
+        };
+        Ok(Group {
+            label,
+            trials: int("trials")?,
+            moments: IntMoments::try_from_raw(
+                int("count")?,
+                wide("sum")?,
+                wide("sum_sq")?,
+                extreme("min", u64::MAX)?,
+                extreme("max", 0)?,
+            )?,
+            censored: int("censored")?,
+        })
+    }
 }
 
 /// The graph a report was measured on (name + size; enough to check merge
@@ -944,6 +1005,34 @@ pub struct GraphInfo {
     pub name: String,
     /// Vertex count.
     pub n: usize,
+}
+
+impl GraphInfo {
+    /// The identity of a resolved graph.
+    pub fn of<G: GraphBackend>(g: &G) -> GraphInfo {
+        GraphInfo {
+            name: g.name().to_string(),
+            n: g.n(),
+        }
+    }
+
+    pub(crate) fn to_value(&self) -> Value {
+        Value::obj(vec![
+            ("name", Value::str(&self.name)),
+            ("n", Value::num(self.n)),
+        ])
+    }
+
+    pub(crate) fn from_value(v: &Value) -> Result<GraphInfo, String> {
+        Ok(GraphInfo {
+            name: v
+                .req("name")?
+                .as_str()
+                .ok_or("graph.name must be a string")?
+                .to_string(),
+            n: v.req("n")?.as_usize().ok_or("graph.n must be an integer")?,
+        })
+    }
 }
 
 /// The set of trial indices a report covers, as sorted, disjoint,
@@ -1014,31 +1103,11 @@ impl Coverage {
         self.0.iter().map(|&(lo, hi)| hi - lo).sum()
     }
 
-    /// The complement within `[0, total)`: which trial ranges are still
-    /// missing before this coverage is the complete run. This is the
-    /// progress accounting `mrw fanout` reports (and what a retry has to
-    /// fill after a worker dies).
-    pub fn missing(&self, total: u64) -> Vec<(u64, u64)> {
-        let mut gaps = Vec::new();
-        let mut cursor = 0u64;
-        for &(lo, hi) in &self.0 {
-            if cursor < lo {
-                gaps.push((cursor, lo));
-            }
-            cursor = cursor.max(hi);
-        }
-        if cursor < total {
-            gaps.push((cursor, total));
-        }
-        gaps
-    }
-
-    /// The complement restricted to an arbitrary `[lo, hi)` window: which
-    /// sub-ranges of the window this coverage does not contain. This is
-    /// the wave-relative form of [`missing`](Coverage::missing) — the
-    /// resumable fanout driver replans an interrupted adaptive wave by
-    /// asking a checkpointed wave report which slices of the wave's
-    /// window still have to run.
+    /// The complement restricted to a `[lo, hi)` window: which sub-ranges
+    /// of the window this coverage does not contain. The resumable fanout
+    /// driver replans an interrupted wave by asking a checkpointed wave
+    /// report which slices of the wave's window still have to run (and
+    /// `[0, total)` is the whole run's progress accounting).
     pub fn missing_within(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         let mut gaps = Vec::new();
         let mut cursor = lo;
@@ -1249,13 +1318,7 @@ impl Report {
     pub(crate) fn to_value(&self) -> Value {
         let mut fields = vec![
             ("schema", Value::str("mrw-report-v1")),
-            (
-                "graph",
-                Value::obj(vec![
-                    ("name", Value::str(&self.graph.name)),
-                    ("n", Value::num(self.graph.n)),
-                ]),
-            ),
+            ("graph", self.graph.to_value()),
             ("query", query_to_value(&self.query)),
             ("budget", budget_to_value(&self.budget)),
             (
@@ -1286,18 +1349,17 @@ impl Report {
                 self.groups
                     .iter()
                     .map(|g| {
-                        Value::obj(vec![
-                            ("label", Value::str(&g.label)),
-                            ("trials", Value::num(g.trials)),
-                            ("count", Value::num(g.moments.count())),
-                            ("sum", Value::num(g.moments.sum())),
-                            ("sum_sq", Value::num(g.moments.sum_sq())),
-                            ("min", g.moments.min().map_or(Value::Null, Value::num)),
-                            ("max", g.moments.max().map_or(Value::Null, Value::num)),
-                            ("censored", Value::num(g.censored)),
+                        let derived = [
                             ("mean", Value::float(g.mean())),
                             ("half_width", Value::float(g.ci(level).half_width())),
-                        ])
+                        ];
+                        Value::obj(
+                            [("label", Value::str(&g.label))]
+                                .into_iter()
+                                .chain(g.moment_fields())
+                                .chain(derived)
+                                .collect(),
+                        )
                     })
                     .collect(),
             ),
@@ -1316,18 +1378,7 @@ impl Report {
         if v.req("schema")?.as_str() != Some("mrw-report-v1") {
             return Err("unknown schema (expected mrw-report-v1)".into());
         }
-        let graph = v.req("graph")?;
-        let graph = GraphInfo {
-            name: graph
-                .req("name")?
-                .as_str()
-                .ok_or("graph.name must be a string")?
-                .to_string(),
-            n: graph
-                .req("n")?
-                .as_usize()
-                .ok_or("graph.n must be an integer")?,
-        };
+        let graph = GraphInfo::from_value(v.req("graph")?)?;
         let query = query_from_value(v.req("query")?)?;
         let budget = budget_from_value(v.req("budget")?)?;
         let total = budget.trials_budget().cap() as u64;
@@ -1356,44 +1407,12 @@ impl Report {
             .ok_or("groups must be an array")?
             .iter()
             .map(|g| {
-                let count = g
-                    .req("count")?
-                    .as_u64()
-                    .ok_or("group.count must be an integer")?;
-                let min = match g.req("min")? {
-                    Value::Null => u64::MAX,
-                    m => m.as_u64().ok_or("group.min must be an integer")?,
-                };
-                let max = match g.req("max")? {
-                    Value::Null => 0,
-                    m => m.as_u64().ok_or("group.max must be an integer")?,
-                };
-                Ok(Group {
-                    label: g
-                        .req("label")?
-                        .as_str()
-                        .ok_or("group.label must be a string")?
-                        .to_string(),
-                    trials: g
-                        .req("trials")?
-                        .as_u64()
-                        .ok_or("group.trials must be an integer")?,
-                    moments: IntMoments::try_from_raw(
-                        count,
-                        g.req("sum")?
-                            .as_u128()
-                            .ok_or("group.sum must be an integer")?,
-                        g.req("sum_sq")?
-                            .as_u128()
-                            .ok_or("group.sum_sq must be an integer")?,
-                        min,
-                        max,
-                    )?,
-                    censored: g
-                        .req("censored")?
-                        .as_u64()
-                        .ok_or("group.censored must be an integer")?,
-                })
+                let label = g
+                    .req("label")?
+                    .as_str()
+                    .ok_or("group.label must be a string")?
+                    .to_string();
+                Group::from_moment_fields(label, g)
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Report {
@@ -2040,10 +2059,7 @@ impl Session {
             Query::SpeedupLadder { start, ks } => self.ladder_groups(g, *start, ks),
         };
         Report {
-            graph: GraphInfo {
-                name: g.name().to_string(),
-                n: g.n(),
-            },
+            graph: GraphInfo::of(g),
             query: query.clone(),
             budget: self.budget.clone(),
             coverage: if self.slice.is_none() {
@@ -2055,52 +2071,50 @@ impl Session {
         }
     }
 
-    /// Runs one group's trials under the session's budget and shard:
-    /// adaptive budgets sample in waves until `rule` fires (whole-range
-    /// sessions only); everything else fans the (sliced) index range out
-    /// flat. `sample(ws, i)` must be a pure function of `i`.
+    /// Runs group `idx` under the session's budget and slice and
+    /// assembles it under `label`. A filtered-out group keeps its label
+    /// with zero trials. A whole-range session runs the budget's schedule
+    /// ([`Trials::replay`]: the one window `[0, n)` of a fixed budget, or
+    /// waves until the precision rule fires); a sliced session fans its
+    /// index range out flat. `sample(ws, i)` must be a pure function of
+    /// `i`.
     fn run_group<S>(
         &self,
+        idx: usize,
+        label: String,
         init: impl Fn() -> S + Sync,
         sample: impl Fn(&mut S, usize) -> Outcome + Sync,
-    ) -> (u64, IntMoments, u64) {
+    ) -> Group {
+        if !self.wants(idx) {
+            return Group::empty(label);
+        }
         let threads = self.budget.threads;
         let run = |range: Range<usize>| {
             let lo = range.start;
             let outcomes = par_map_with(range.len(), threads, &init, |ws, i| sample(ws, lo + i));
             let (moments, censored) = collect(&outcomes);
-            (outcomes.len() as u64, moments, censored)
-        };
-        match (self.budget.trials_budget(), &self.slice) {
-            (Trials::Adaptive(rule), None) => {
-                // Each prefix request runs only the new window and folds
-                // it into the running (exact, integer) statistics.
-                let mut sofar = (0u64, IntMoments::new(), 0u64);
-                let Ok(group) = rule.replay(
-                    |end| {
-                        let (trials, moments, censored) = run(sofar.0 as usize..end);
-                        sofar.0 += trials;
-                        sofar.1.merge(&moments);
-                        sofar.2 += censored;
-                        Ok::<_, Infallible>(sofar)
-                    },
-                    |(_, moments, _)| moments.summary(),
-                );
-                group
+            Group {
+                label: label.clone(),
+                trials: outcomes.len() as u64,
+                moments,
+                censored,
             }
-            (trials, _) => run(self.slice_range(trials.cap())),
+        };
+        let trials = self.budget.trials_budget();
+        if self.slice.is_some() {
+            return run(self.slice_range(trials.cap()));
         }
-    }
-
-    /// An unexecuted group: the label a filtered-out group keeps so the
-    /// report's structure stays mergeable.
-    fn empty_group(label: String) -> Group {
-        Group {
-            label,
-            trials: 0,
-            moments: IntMoments::new(),
-            censored: 0,
-        }
+        // Each prefix request runs only the new window and folds it into
+        // the running (exact, integer) statistics.
+        let mut sofar = Group::empty(label.clone());
+        let Ok(group) = trials.replay(
+            |end| {
+                sofar = sofar.merge(&run(sofar.trials as usize..end));
+                Ok::<_, Infallible>(sofar.clone())
+            },
+            Group::summary,
+        );
+        group
     }
 
     /// Cover groups, one per start. `seed_override` lets the speed-up
@@ -2121,13 +2135,12 @@ impl Session {
             .enumerate()
             .map(|(i, &start)| {
                 assert!((start as usize) < g.n(), "start {start} out of range");
-                if !self.wants(base + i) {
-                    return Self::empty_group(format!("start={start}"));
-                }
                 // The stream every cover estimator has always used:
                 // seed → child(start+1) → trial.
                 let seq = SeedSequence::new(seed).child(start as u64 + 1);
-                let (trials, moments, censored) = self.run_group(
+                self.run_group(
+                    base + i,
+                    format!("start={start}"),
                     || CoverWorkspace::new(g.n()),
                     |ws, trial| {
                         let mut rng = walk_rng(seq.seed_for(trial as u64));
@@ -2140,13 +2153,7 @@ impl Session {
                             .run_with(&ws.starts, &mut rng, &mut ws.arena);
                         Outcome::Value(out.rounds)
                     },
-                );
-                Group {
-                    label: format!("start={start}"),
-                    trials,
-                    moments,
-                    censored,
-                }
+                )
             })
             .collect()
     }
@@ -2165,13 +2172,12 @@ impl Session {
             .iter()
             .enumerate()
             .map(|(gi, &gamma)| {
-                if !self.wants(gi) {
-                    return Self::empty_group(format!("gamma={gamma}"));
-                }
                 let target = fraction_target(g.n(), gamma);
                 // Decorrelate (γ, trial) pairs without coupling to position
                 // in the sweep (the historical partial-profile stream).
-                let (trials, moments, censored) = self.run_group(
+                self.run_group(
+                    gi,
+                    format!("gamma={gamma}"),
                     || (),
                     |(), t| {
                         let mut rng = walk_rng(
@@ -2180,13 +2186,7 @@ impl Session {
                         );
                         Outcome::Value(kwalk_partial_cover_rounds(g, &starts, target, &mut rng))
                     },
-                );
-                Group {
-                    label: format!("gamma={gamma}"),
-                    trials,
-                    moments,
-                    censored,
-                }
+                )
             })
             .collect()
     }
@@ -2200,12 +2200,11 @@ impl Session {
         seed: u64,
         idx: usize,
     ) -> Group {
-        if !self.wants(idx) {
-            return Self::empty_group(format!("h({from}->{to})"));
-        }
         // The historical hitting stream: seed → child("HIT!") → trial.
         let seq = SeedSequence::new(seed).child(0x48495421);
-        let (trials, moments, censored) = self.run_group(
+        self.run_group(
+            idx,
+            format!("h({from}->{to})"),
             || (),
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
@@ -2214,13 +2213,7 @@ impl Session {
                     None => Outcome::Discarded,
                 }
             },
-        );
-        Group {
-            label: format!("h({from}->{to})"),
-            trials,
-            moments,
-            censored,
-        }
+        )
     }
 
     fn hmax_groups<G: GraphBackend>(&self, g: &G) -> Vec<Group> {
@@ -2243,12 +2236,11 @@ impl Session {
         laziness: Option<f64>,
         cap: u64,
     ) -> Group {
-        if !self.wants(0) {
-            return Self::empty_group("meeting".to_string());
-        }
         let process = laziness.map_or(WalkProcess::Simple, WalkProcess::Lazy);
         let seq = SeedSequence::new(self.budget.seed).child(0x4D45_4554); // "MEET"
-        let (trials, moments, censored) = self.run_group(
+        self.run_group(
+            0,
+            "meeting".to_string(),
             || (),
             |(), t| {
                 let mut rng = walk_rng(seq.seed_for(t as u64));
@@ -2257,13 +2249,7 @@ impl Session {
                     None => Outcome::CensoredAt(cap),
                 }
             },
-        );
-        Group {
-            label: "meeting".to_string(),
-            trials,
-            moments,
-            censored,
-        }
+        )
     }
 
     #[allow(clippy::too_many_arguments)] // private; mirrors Query::Pursuit's fields plus the group index
@@ -2278,12 +2264,11 @@ impl Session {
         idx: usize,
     ) -> Group {
         assert!(k >= 1, "need at least one hunter");
-        if !self.wants(idx) {
-            return Self::empty_group(format!("k={k}"));
-        }
         let hunters = vec![hunters_start; k];
         let seed = self.budget.seed;
-        let (trials, moments, censored) = self.run_group(
+        self.run_group(
+            idx,
+            format!("k={k}"),
             || (),
             |(), t| {
                 // The historical mean_catch_time stream: seed ⊕ k ⊕ t.
@@ -2293,13 +2278,7 @@ impl Session {
                     None => Outcome::CensoredAt(cap),
                 }
             },
-        );
-        Group {
-            label: format!("k={k}"),
-            trials,
-            moments,
-            censored,
-        }
+        )
     }
 
     fn ladder_groups<G: GraphBackend>(&self, g: &G, start: u32, ks: &[usize]) -> Vec<Group> {
@@ -2501,22 +2480,25 @@ mod tests {
     fn coverage_missing_is_the_complement() {
         let total = 20;
         let c = Coverage::from_ranges(vec![(2, 5), (9, 12)], total).unwrap();
-        assert_eq!(c.missing(total), vec![(0, 2), (5, 9), (12, 20)]);
+        assert_eq!(c.missing_within(0, total), vec![(0, 2), (5, 9), (12, 20)]);
         assert_eq!(c.covered_trials(), 6);
         assert_eq!(
-            Coverage::full(total).missing(total),
+            Coverage::full(total).missing_within(0, total),
             Vec::<(u64, u64)>::new()
         );
         let edge = Coverage::from_ranges(vec![(0, 20)], total).unwrap();
         assert!(edge.is_full(total));
-        assert!(edge.missing(total).is_empty());
+        assert!(edge.missing_within(0, total).is_empty());
     }
 
     #[test]
     fn coverage_missing_within_restricts_to_the_window() {
         let c = Coverage::from_ranges(vec![(2, 5), (9, 12), (14, 16)], 20).unwrap();
-        // Window == whole space agrees with `missing`.
-        assert_eq!(c.missing_within(0, 20), c.missing(20));
+        // Window == whole space: the complement in [0, total).
+        assert_eq!(
+            c.missing_within(0, 20),
+            vec![(0, 2), (5, 9), (12, 14), (16, 20)]
+        );
         // Window cut mid-range on both sides.
         assert_eq!(c.missing_within(3, 15), vec![(5, 9), (12, 14)]);
         // Window entirely inside one covered range: nothing missing.

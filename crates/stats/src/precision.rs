@@ -11,13 +11,15 @@
 //! Two pieces:
 //!
 //! * [`Precision`] — the rule itself: an absolute or relative half-width
-//!   target at a confidence level, plus the floor and cap. It also owns
-//!   the adaptive schedule: [`Precision::waves`] plans the trial windows
-//!   and [`Precision::replay`] runs the stop-at-first-satisfied-boundary
-//!   loop that `Session`, `mrw serve` and `mrw fanout` all share.
+//!   target at a confidence level, plus the floor and cap, and the
+//!   wave sizing ([`Precision::next_wave`]).
 //! * [`Trials`] — the budget type estimator entry points accept:
 //!   [`Trials::Fixed`] (the classical flat count) or [`Trials::Adaptive`]
-//!   (a `Precision`).
+//!   (a `Precision`). It owns the one schedule every driver runs:
+//!   [`Trials::waves`] plans the trial windows (a fixed budget is the
+//!   single window `0..n`) and [`Trials::replay`] runs the
+//!   stop-at-first-satisfied-boundary loop that `Session`, `mrw serve`
+//!   and `mrw fanout` all share.
 //!
 //! ## Determinism
 //!
@@ -25,7 +27,7 @@
 //! same observations in the same (index) order, [`Precision::satisfied_by`]
 //! and [`Precision::next_wave`] always answer the same. Callers that
 //! dispatch trials in waves and evaluate the rule only at wave boundaries
-//! (through [`Precision::replay`]) therefore consume a trial count that
+//! (through [`Trials::replay`]) therefore consume a trial count that
 //! depends only on the rule and the per-index sample values — never on
 //! thread count, sharding or scheduling.
 
@@ -73,8 +75,8 @@ pub struct Precision {
     /// matches the floor `mrw_stats::ci` documents for the normal
     /// approximation on cover-time samples.
     pub min_trials: usize,
-    /// Hard cap on observations; [`replay`](Precision::replay) stops
-    /// there even if the target was missed.
+    /// Hard cap on observations; [`Trials::replay`] stops there even if
+    /// the target was missed.
     pub max_trials: usize,
 }
 
@@ -193,64 +195,6 @@ impl Precision {
         };
         want.min(self.max_trials - consumed)
     }
-
-    /// The whole wave schedule as contiguous trial-index windows `0..a`,
-    /// `a..b`, … ending exactly at [`max_trials`](Precision::max_trials),
-    /// each sized by [`next_wave`](Self::next_wave). A pure function of
-    /// the rule, so a driver can plan (and pipeline) every wave before
-    /// any sample is in.
-    pub fn waves(&self) -> impl Iterator<Item = Range<usize>> {
-        let rule = *self;
-        let mut done = 0;
-        std::iter::from_fn(move || {
-            let wave = rule.next_wave(done);
-            (wave > 0).then(|| {
-                done += wave;
-                done - wave..done
-            })
-        })
-    }
-
-    /// Replays the sequential rule over cumulative sample prefixes — the
-    /// one adaptive loop every driver shares. `prefix(n)` returns the
-    /// statistics of trials `[0, n)`; it is asked at `n = 0` and then at
-    /// each [`waves`](Self::waves) end in order, and `summary` views its
-    /// answer for [`satisfied_by`](Self::satisfied_by). Returns the first
-    /// prefix that satisfies the rule, or the cap prefix if none does. An
-    /// `Err` from `prefix` ends the replay and is passed through.
-    ///
-    /// The rule only ever sees index-ordered prefixes at fixed
-    /// boundaries, so the consumed count depends on the per-index samples
-    /// alone — never on how `prefix` computes them (threads, shards,
-    /// cached ledgers).
-    ///
-    /// ```
-    /// use mrw_stats::precision::Precision;
-    /// use mrw_stats::Summary;
-    ///
-    /// let rule = Precision::absolute(0.5).with_min_trials(4).with_max_trials(64);
-    /// let prefix = |n: usize| {
-    ///     let xs: Vec<f64> = (0..n).map(|t| (t % 2) as f64).collect();
-    ///     Ok::<_, String>(Summary::from_slice(&xs))
-    /// };
-    /// let stopped = rule.replay(prefix, Summary::clone).unwrap();
-    /// assert!(rule.satisfied_by(&stopped));
-    /// assert_eq!(stopped.count(), 6); // the second boundary: 4, then 6
-    /// ```
-    pub fn replay<T, E>(
-        &self,
-        mut prefix: impl FnMut(usize) -> Result<T, E>,
-        summary: impl Fn(&T) -> Summary,
-    ) -> Result<T, E> {
-        let mut sofar = prefix(0)?;
-        for window in self.waves() {
-            if self.satisfied_by(&summary(&sofar)) {
-                break;
-            }
-            sofar = prefix(window.end)?;
-        }
-        Ok(sofar)
-    }
 }
 
 /// A Monte-Carlo trial budget: how many trials an estimator should run.
@@ -288,6 +232,86 @@ impl Trials {
             Trials::Adaptive(p) => Some(p),
         }
     }
+
+    /// The budget's schedule as contiguous trial-index windows: a fixed
+    /// budget is the one window `0..n`; an adaptive one is `0..a`, `a..b`,
+    /// … ending exactly at [`max_trials`](Precision::max_trials), each
+    /// sized by [`next_wave`](Precision::next_wave). A pure function of
+    /// the budget, so a driver can plan (and pipeline) every window before
+    /// any sample is in.
+    ///
+    /// ```
+    /// use mrw_stats::precision::{Precision, Trials};
+    ///
+    /// assert_eq!(Trials::Fixed(64).waves().collect::<Vec<_>>(), vec![0..64]);
+    /// let rule = Precision::relative(0.1).with_min_trials(4).with_max_trials(10);
+    /// let windows: Vec<_> = Trials::Adaptive(rule).waves().collect();
+    /// assert_eq!(windows, vec![0..4, 4..6, 6..9, 9..10]);
+    /// ```
+    pub fn waves(&self) -> impl Iterator<Item = Range<usize>> {
+        let trials = *self;
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            let wave = match trials {
+                Trials::Fixed(n) => n - done,
+                Trials::Adaptive(rule) => rule.next_wave(done),
+            };
+            (wave > 0).then(|| {
+                done += wave;
+                done - wave..done
+            })
+        })
+    }
+
+    /// Runs the budget's schedule over cumulative sample prefixes — the
+    /// one loop every driver (`Session`, `mrw serve`, `mrw fanout`)
+    /// shares. `prefix(n)` returns the statistics of trials `[0, n)`.
+    ///
+    /// A fixed budget asks for its one window: `prefix(n)`, exactly once.
+    /// An adaptive budget asks at `n = 0` and then at each
+    /// [`waves`](Self::waves) end in order, viewing each answer through
+    /// `summary` for [`satisfied_by`](Precision::satisfied_by); it returns
+    /// the first prefix that satisfies the rule, or the cap prefix if none
+    /// does. An `Err` from `prefix` ends the replay and is passed through.
+    ///
+    /// The rule only ever sees index-ordered prefixes at fixed
+    /// boundaries, so the consumed count depends on the per-index samples
+    /// alone — never on how `prefix` computes them (threads, shards,
+    /// cached ledgers).
+    ///
+    /// ```
+    /// use mrw_stats::precision::{Precision, Trials};
+    /// use mrw_stats::Summary;
+    ///
+    /// let rule = Precision::absolute(0.5).with_min_trials(4).with_max_trials(64);
+    /// let prefix = |n: usize| {
+    ///     let xs: Vec<f64> = (0..n).map(|t| (t % 2) as f64).collect();
+    ///     Ok::<_, String>(Summary::from_slice(&xs))
+    /// };
+    /// let stopped = Trials::Adaptive(rule).replay(prefix, Summary::clone).unwrap();
+    /// assert!(rule.satisfied_by(&stopped));
+    /// assert_eq!(stopped.count(), 6); // the second boundary: 4, then 6
+    /// let fixed = Trials::Fixed(10).replay(prefix, Summary::clone).unwrap();
+    /// assert_eq!(fixed.count(), 10);
+    /// ```
+    pub fn replay<T, E>(
+        &self,
+        mut prefix: impl FnMut(usize) -> Result<T, E>,
+        summary: impl Fn(&T) -> Summary,
+    ) -> Result<T, E> {
+        let rule = match self {
+            Trials::Fixed(n) => return prefix(*n),
+            Trials::Adaptive(rule) => rule,
+        };
+        let mut sofar = prefix(0)?;
+        for window in self.waves() {
+            if rule.satisfied_by(&summary(&sofar)) {
+                break;
+            }
+            sofar = prefix(window.end)?;
+        }
+        Ok(sofar)
+    }
 }
 
 impl From<usize> for Trials {
@@ -304,6 +328,8 @@ impl From<Precision> for Trials {
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+
     use super::*;
 
     #[test]
@@ -392,7 +418,7 @@ mod tests {
         fail_at: Option<usize>,
     ) -> (Vec<usize>, Result<Summary, usize>) {
         let mut calls = Vec::new();
-        let out = rule.replay(
+        let out = Trials::Adaptive(rule).replay(
             |n| {
                 calls.push(n);
                 if Some(n) == fail_at {
@@ -426,7 +452,7 @@ mod tests {
             .with_max_trials(20);
         let (calls, out) = replay_calls(rule, None);
         let boundaries: Vec<usize> = std::iter::once(0)
-            .chain(rule.waves().map(|w| w.end))
+            .chain(Trials::Adaptive(rule).waves().map(|w| w.end))
             .collect();
         assert_eq!(calls, boundaries);
         assert_eq!(calls, vec![0, 4, 6, 9, 13, 19, 20]);
@@ -441,6 +467,28 @@ mod tests {
         let (calls, out) = replay_calls(rule, Some(6));
         assert_eq!(calls, vec![0, 4, 6]);
         assert_eq!(out.unwrap_err(), 6);
+    }
+
+    #[test]
+    fn fixed_budget_is_one_window_and_one_prefix() {
+        assert_eq!(Trials::Fixed(37).waves().collect::<Vec<_>>(), vec![0..37]);
+        assert_eq!(Trials::Fixed(0).waves().count(), 0);
+        let mut calls = Vec::new();
+        let out = Trials::Fixed(37).replay(
+            |n| {
+                calls.push(n);
+                Ok::<_, Infallible>(n)
+            },
+            |_| Summary::new(),
+        );
+        assert_eq!(calls, vec![37]);
+        assert_eq!(out, Ok(37));
+    }
+
+    #[test]
+    fn fixed_budget_passes_its_prefix_error_through() {
+        let out = Trials::Fixed(5).replay(Err::<Summary, _>, Summary::clone);
+        assert_eq!(out.unwrap_err(), 5);
     }
 
     #[test]

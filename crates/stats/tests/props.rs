@@ -3,7 +3,7 @@
 use mrw_stats::ci::{bootstrap_mean_ci, normal_ci};
 use mrw_stats::quantile::{five_num, quantile};
 use mrw_stats::regression::{linear_fit, power_law_fit};
-use mrw_stats::{ladder, Precision, Summary};
+use mrw_stats::{ladder, Precision, Summary, Trials};
 use proptest::prelude::*;
 
 fn finite_sample() -> impl Strategy<Value = Vec<f64>> {
@@ -122,7 +122,7 @@ proptest! {
         // a run that never satisfies its rule consumes precisely max_trials.
         prop_assert_eq!(consumed, cap);
         // `waves()` is exactly this hand-rolled schedule.
-        prop_assert_eq!(rule.waves().collect::<Vec<_>>(), windows);
+        prop_assert_eq!(Trials::Adaptive(rule).waves().collect::<Vec<_>>(), windows);
     }
 
     #[test]
